@@ -90,7 +90,7 @@ class _Writer:
             self._fh = open(out_path, "w", encoding="utf-8")
 
     def emit(self, record: dict) -> None:
-        self._fh.write(json.dumps(record) + "\n")
+        self._fh.write(json.dumps(record, allow_nan=False) + "\n")
         self._fh.flush()
 
     def header(self, subcommand: str, config: dict) -> None:
@@ -168,6 +168,8 @@ def cmd_simulate(args) -> int:
 
     def sample(i, current):
         rep = invariant_report(current, hs)
+        if not np.isfinite(rep.energy):
+            raise StepFailure(i * config.dt, 0, np.inf, f"energy overflowed at t = {i * config.dt:g}")
         rec = {"record": "sample", "t": i * config.dt}
         rec.update(rep.to_record())
         writer.emit(rec)
@@ -175,8 +177,8 @@ def cmd_simulate(args) -> int:
             write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
 
     current = state
-    sample(0, current)
     try:
+        sample(0, current)
         for i in range(1, n_steps + 1):
             current = step(current, config, (i - 1) * config.dt)
             if i % config.sample_every == 0 or i == n_steps:
@@ -184,7 +186,7 @@ def cmd_simulate(args) -> int:
     except StepFailure as exc:
         writer.emit({
             "record": "error", "error_type": "step_failure", "t": exc.t,
-            "iterations": exc.iterations, "residual": exc.residual,
+            "iterations": exc.iterations, "residual": exc.residual if np.isfinite(exc.residual) else None,
             "message": str(exc),
         })
         writer.close()

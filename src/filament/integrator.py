@@ -40,13 +40,14 @@ _SCHEMES = ("rk4", "implicit_midpoint")
 
 
 class StepFailure(RuntimeError):
-    """Raised when the implicit midpoint fixed point fails to converge."""
+    """Raised when a step from time t fails: the implicit midpoint fixed
+    point does not converge, or the new coefficients are not finite."""
 
-    def __init__(self, t: float, iterations: int, residual: float):
-        super().__init__(
+    def __init__(self, t: float, iterations: int, residual: float, message: str = ""):
+        super().__init__(message or (
             f"implicit midpoint did not converge at t = {t:g} "
             f"({iterations} iterations, last residual {residual:.3e})"
-        )
+        ))
         self.t = t
         self.iterations = iterations
         self.residual = residual
@@ -139,34 +140,39 @@ def _rk4_step(a, dt, sigma, kvec):
 
 
 def _midpoint_step(a, dt, sigma, kvec, tol, max_iter, t):
-    # overflow inside a diverging fixed point is an expected failure mode:
-    # detect it via the residual instead of spraying warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        new = a + dt * _rhs_raw(a, sigma, kvec)  # explicit Euler predictor
-        residual = np.inf
-        for it in range(1, max_iter + 1):
-            target = a + dt * _rhs_raw(0.5 * (a + new), sigma, kvec)
-            residual = float(np.linalg.norm(target - new))
-            new = target
-            if residual <= tol:
-                return new
-            if not np.isfinite(residual):
-                raise StepFailure(t, it, residual)
+    new = a + dt * _rhs_raw(a, sigma, kvec)  # explicit Euler predictor
+    residual = np.inf
+    for it in range(1, max_iter + 1):
+        target = a + dt * _rhs_raw(0.5 * (a + new), sigma, kvec)
+        residual = float(np.linalg.norm(target - new))
+        new = target
+        if residual <= tol:
+            return new
+        if not np.isfinite(residual):
+            raise StepFailure(t, it, residual)
     raise StepFailure(t, max_iter, residual)
 
 
+def _advance(a, sigma, kvec, config, t):
+    # an overflowing step is caught by the finiteness test, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.scheme == "rk4":
+            out = _rk4_step(a, config.dt, sigma, kvec)
+        else:
+            out = _midpoint_step(
+                a, config.dt, sigma, kvec,
+                config.midpoint_tol, config.midpoint_max_iter, t,
+            )
+    if not np.isfinite(out).all():
+        raise StepFailure(t, 0, np.inf, f"{config.scheme} step from t = {t:g} "
+                          "produced non-finite coefficients")
+    return out
+
+
 def step(state: SpectralState, config: StepperConfig, t: float = 0.0) -> SpectralState:
-    """Advance one step of the configured scheme."""
-    a = state.coeffs
+    """Advance one step of the configured scheme; StepFailure if it fails."""
     kvec = state.modes.astype(float)
-    if config.scheme == "rk4":
-        out = _rk4_step(a, config.dt, state.sigma, kvec)
-    else:
-        out = _midpoint_step(
-            a, config.dt, state.sigma, kvec,
-            config.midpoint_tol, config.midpoint_max_iter, t,
-        )
-    return state.with_coeffs(out)
+    return state.with_coeffs(_advance(state.coeffs, state.sigma, kvec, config, t))
 
 
 def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Trajectory:
@@ -176,24 +182,16 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     """
     n_steps = config.n_steps()
     a = np.array(state.coeffs)
-    sigma = state.sigma
     kvec = state.modes.astype(float)
-    dt = config.dt
 
     times = [0.0]
     states = [state]
     reports = [invariant_report(state, h_s)]
     for i in range(1, n_steps + 1):
-        if config.scheme == "rk4":
-            a = _rk4_step(a, dt, sigma, kvec)
-        else:
-            a = _midpoint_step(
-                a, dt, sigma, kvec,
-                config.midpoint_tol, config.midpoint_max_iter, (i - 1) * dt,
-            )
+        a = _advance(a, state.sigma, kvec, config, (i - 1) * config.dt)
         if i % config.sample_every == 0 or i == n_steps:
             snap = state.with_coeffs(a)
-            times.append(i * dt)
+            times.append(i * config.dt)
             states.append(snap)
             reports.append(invariant_report(snap, h_s))
     return Trajectory(np.array(times), states, reports)

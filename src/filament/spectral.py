@@ -220,20 +220,19 @@ def state_from_dict(data: dict) -> SpectralState:
         pairs = data["coeffs"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"snapshot record missing field: {exc}") from exc
-    if sigma not in (0, 1):
+    if type(sigma) is not int or sigma not in (0, 1):
         raise ValueError(f"snapshot sigma must be 0 or 1, got {sigma!r}")
-    if not isinstance(n_modes, int) or n_modes < 1:
+    if type(n_modes) is not int or n_modes < 1:
         raise ValueError(f"snapshot n_modes must be a positive integer, got {n_modes!r}")
-    if len(pairs) != n_modes:
-        raise ValueError(
-            f"snapshot coeffs has {len(pairs)} entries but n_modes = {n_modes}"
-        )
-    coeffs = np.empty(n_modes, dtype=np.complex128)
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ValueError(f"snapshot coeffs[{i}] must be a [re, im] pair")
-        coeffs[i] = complex(float(pair[0]), float(pair[1]))
-    return SpectralState(sigma, coeffs)
+    try:
+        pairs = np.array(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"snapshot coeffs must be a list of [re, im] pairs: {exc}") from exc
+    if pairs.shape != (n_modes, 2):
+        raise ValueError(f"snapshot coeffs must be {n_modes} [re, im] pairs, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise ValueError("snapshot coeffs must be finite")
+    return SpectralState(sigma, pairs.view(np.complex128)[:, 0])  # exact, signed zeros too
 
 
 def write_snapshot(state: SpectralState, path) -> None:

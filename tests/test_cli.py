@@ -117,6 +117,53 @@ def test_simulate_step_failure_exit_code(tmp_path):
     assert by_kind(records, "sample")  # partial output was flushed first
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+def test_simulate_blow_up_exits_step_failure(tmp_path):
+    # rk4 overflows at this dt; the run must stop with an error record, not stream NaN
+    out = tmp_path / "blowup.jsonl"
+    code = main([
+        "simulate", "--init", "random", "--n-modes", "256", "--dt", "1e-2",
+        "--t-end", "0.1", "--sample-every", "5", "--out", str(out),
+    ])
+    assert code == 2
+    with open(out) as fh:
+        records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
+    assert records[-1]["record"] == "error"
+    assert records[-1]["error_type"] == "step_failure"
+    assert "non-finite" in records[-1]["message"]
+    assert all(np.isfinite(s["E"]) for s in by_kind(records, "sample"))
+    assert not by_kind(records, "summary")
+
+
+def test_simulate_energy_overflow_exits_step_failure(tmp_path):
+    # finite coefficients whose quartic energy overflows: error record, never Infinity
+    snap = tmp_path / "huge.json"
+    snap.write_text(json.dumps({"sigma": 0, "n_modes": 2, "coeffs": [[1e80, 0.0], [0.0, 0.0]]}))
+    out = tmp_path / "huge.jsonl"
+    code = main(["simulate", "--init", f"file:{snap}", "--n-modes", "2", "--out", str(out)])
+    assert code == 2
+    with open(out) as fh:
+        records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert records[-1]["error_type"] == "step_failure" and records[-1]["t"] == 0.0
+
+
+@pytest.mark.parametrize("record", [
+    {"sigma": 0, "n_modes": True, "coeffs": [[1.0, 0.0]]},
+    {"sigma": 0, "n_modes": 1, "coeffs": [[float("nan"), 0.0]]},
+])
+def test_invariants_rejects_bad_snapshot(tmp_path, capsys, record):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(record))
+    code = main(["invariants", "--init", f"file:{path}", "--out", str(tmp_path / "inv.jsonl")])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error_type"] == "validation"
+
+
 def test_bad_flags_exit_validation():
     assert main(["simulate", "--sigma", "3"]) == 1
     assert main(["nonsense"]) == 1

@@ -137,6 +137,13 @@ def test_midpoint_non_convergence_reports_diagnostics():
     assert info.value.t == 0.0
 
 
+def test_simulate_stops_on_non_finite_state():
+    cfg = StepperConfig(scheme="rk4", dt=1e-2, t_end=0.1, sample_every=5)
+    with pytest.raises(StepFailure, match="non-finite") as info:
+        simulate(seeded_state(0, 256, 0), cfg)
+    assert 0.0 <= info.value.t < 0.1
+
+
 def test_flow_never_populates_modes_above_cutoff():
     # structural: the state vector length is the cutoff
     cfg = StepperConfig(scheme="rk4", dt=1e-2, t_end=0.1, sample_every=10)

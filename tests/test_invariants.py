@@ -42,6 +42,27 @@ def test_energy_matches_brute_force(sigma, seed):
     assert energy_spectral(st) == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 34])
+def test_energy_matches_brute_force_sizes(sigma, n):
+    for seed in (0, 1, 2):
+        st = seeded_state(sigma, n, seed, amplitude=1.0)
+        expect = energy_brute_force(st.coeffs, sigma)
+        assert energy_spectral(st) == pytest.approx(expect, rel=1e-12)
+
+
+def test_energy_sigma1_exact_zeros():
+    # the sigma = 1 route drops a_1: an empty tail and a pure a_1 give 0.0
+    assert energy_spectral(SpectralState(1, [0.7 - 0.2j])) == 0.0
+    assert energy_spectral(SpectralState(1, [1.5, 0.0, 0.0, 0.0, 0.0])) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_energy_nonnegative_large_n(sigma):
+    for seed in range(3):
+        assert energy_spectral(seeded_state(sigma, 512, seed)) >= 0.0
+
+
 def test_energy_zero_state():
     st = SpectralState(0, np.zeros(5))
     assert energy_spectral(st) == 0.0

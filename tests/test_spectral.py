@@ -168,3 +168,36 @@ def test_snapshot_rejects_malformed_pairs():
         state_from_dict(record)
     with pytest.raises(ValueError):
         state_from_dict({"sigma": 3, "n_modes": 1, "coeffs": [[1.0, 0.0]]})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_modes", True), ("n_modes", 1.0), ("sigma", True), ("sigma", 1.0),
+])
+def test_snapshot_rejects_non_integer_header(field, value):
+    record = {"sigma": 1, "n_modes": 1, "coeffs": [[1.0, 0.0]]}
+    record[field] = value
+    with pytest.raises(ValueError):
+        state_from_dict(record)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_snapshot_rejects_non_finite_coeffs(bad, tmp_path):
+    with pytest.raises(ValueError, match="finite"):
+        state_from_dict({"sigma": 0, "n_modes": 2, "coeffs": [[1.0, 0.0], [0.0, bad]]})
+    # json writes and reads the NaN / Infinity tokens, so the file route must check too
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"sigma": 0, "n_modes": 1, "coeffs": [[bad, 0.0]]}))
+    with pytest.raises(ValueError, match="finite"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("coeffs", [5, [[1.0, 0.0], None], [{"re": 1.0}, [0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2])
+def test_snapshot_rejects_malformed_coeffs(coeffs):
+    with pytest.raises(ValueError):
+        state_from_dict({"sigma": 0, "n_modes": 2, "coeffs": coeffs})
+
+
+def test_snapshot_round_trip_is_bit_exact():
+    st = SpectralState(0, [complex(-0.0, -0.0), 1e-300 - 2.5j, -3.0 + 0.0j])
+    back = state_from_dict(json.loads(json.dumps(state_to_dict(st))))
+    assert back.coeffs.tobytes() == st.coeffs.tobytes()
