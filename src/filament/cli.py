@@ -10,6 +10,7 @@ the normalization conventions, so files are self-describing.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -25,6 +26,8 @@ from .spectral import (
     write_snapshot,
 )
 from .nonlinearity import (
+    _CONV_MAX_N,
+    _c_sigma_trunc_raw,
     c_sigma_direct,
     c_sigma_unsym,
     c_sigma_fast,
@@ -70,16 +73,39 @@ _CONVENTION = {
     "lambda_symbol": "|k|",
     "momentum": "2*pi*sum |a_k|^2",
     "mass": "2*pi*sum |a_k|^2/k",
-    "dealiasing": "cubic products on grids of size >= 4*N",
+    "dealiasing": (f"RHS modes 1..N only: exact convolution for N <= {_CONV_MAX_N}, "
+                   "else grids >= 2*N-1; full C_sigma on grids >= 4*N"),
 }
+
+# exception class -> (error_type, exit code), as main and the streams report them
+_ERRORS = (
+    (ValueError, "validation", EXIT_VALIDATION),
+    (StepFailure, "numerical", EXIT_NUMERICAL),
+    (ProjectionError, "numerical", EXIT_NUMERICAL),
+    (FloatingPointError, "numerical", EXIT_NUMERICAL),
+    (OSError, "io", EXIT_IO),
+)
+
+
+def _classify(exc: BaseException):
+    for cls, error_type, code in _ERRORS:
+        if isinstance(exc, cls):
+            return error_type, code
+    return None
 
 
 class _Writer:
-    """JSON-lines sink: a file when requested, stdout otherwise."""
+    """JSON-lines sink: a file when requested, stdout otherwise.
+
+    As a context manager it closes the file on exit; an exception that
+    ``main`` reports, raised after the header, first ends the stream with
+    an ``error`` record of the same ``error_type``.
+    """
 
     def __init__(self, out_path, subcommand: str):
         self.path = None
         self._fh = sys.stdout
+        self._started = False
         if out_path is None:
             env_dir = os.environ.get(OUT_DIR_ENV)
             if env_dir:
@@ -88,6 +114,19 @@ class _Writer:
         if out_path is not None:
             self.path = out_path
             self._fh = open(out_path, "w", encoding="utf-8")
+
+    def __enter__(self) -> "_Writer":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        kind = _classify(exc) if self._started and exc is not None else None
+        try:
+            if kind is not None:
+                with contextlib.suppress(OSError):  # the sink itself may be what failed
+                    self.emit({"record": "error", "error_type": kind[0], "message": str(exc)})
+        finally:
+            self.close()
+        return False
 
     def emit(self, record: dict) -> None:
         self._fh.write(json.dumps(record, allow_nan=False) + "\n")
@@ -102,6 +141,7 @@ class _Writer:
             "config": config,
             "convention": _CONVENTION,
         })
+        self._started = True
 
     def close(self) -> None:
         if self.path is not None:
@@ -146,67 +186,76 @@ def _scheme_name(name: str) -> str:
 # subcommands
 
 def cmd_simulate(args) -> int:
-    writer = _Writer(args.out, "simulate")
-    config = StepperConfig(
-        scheme=_scheme_name(args.scheme),
-        dt=args.dt,
-        t_end=args.t_end,
-        sample_every=args.sample_every,
-    )
-    state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
-    writer.header("simulate", {
-        "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
-        "scheme": config.scheme, "dt": config.dt, "t_end": config.t_end,
-        "sample_every": config.sample_every, "seed": args.seed,
-        "h_s": list(args.hs), "snapshots": args.snapshots,
-    })
-    if args.snapshots:
-        os.makedirs(args.snapshots, exist_ok=True)
-
-    hs = tuple(args.hs)
-    n_steps = config.n_steps()
-
-    def sample(i, current):
-        rep = invariant_report(current, hs)
-        if not np.isfinite(rep.energy):
-            raise StepFailure(i * config.dt, 0, np.inf, f"energy overflowed at t = {i * config.dt:g}")
-        rec = {"record": "sample", "t": i * config.dt}
-        rec.update(rep.to_record())
-        writer.emit(rec)
-        if args.snapshots:
-            write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
-
-    current = state
-    try:
-        sample(0, current)
-        for i in range(1, n_steps + 1):
-            current = step(current, config, (i - 1) * config.dt)
-            if i % config.sample_every == 0 or i == n_steps:
-                sample(i, current)
-    except StepFailure as exc:
-        writer.emit({
-            "record": "error", "error_type": "step_failure", "t": exc.t,
-            "iterations": exc.iterations, "residual": exc.residual if np.isfinite(exc.residual) else None,
-            "message": str(exc),
+    with _Writer(args.out, "simulate") as writer:
+        config = StepperConfig(
+            scheme=_scheme_name(args.scheme),
+            dt=args.dt,
+            t_end=args.t_end,
+            sample_every=args.sample_every,
+        )
+        state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
+        writer.header("simulate", {
+            "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
+            "scheme": config.scheme, "dt": config.dt, "t_end": config.t_end,
+            "sample_every": config.sample_every, "seed": args.seed,
+            "h_s": list(args.hs), "snapshots": args.snapshots,
         })
-        writer.close()
-        return EXIT_NUMERICAL
+        if args.snapshots:
+            os.makedirs(args.snapshots, exist_ok=True)
 
-    summary = {"record": "summary", "t_end": config.t_end}
-    if args.init.startswith("psi_k:"):
-        k = int(args.init.split(":", 1)[1])
-        expected = np.exp(1j * k * (k - args.sigma) * config.t_end)
-        a_k = current.coeffs[k - 1]
-        summary["phase_deviation"] = abs(a_k - expected)
-        summary["modulus_deviation"] = abs(abs(a_k) - 1.0)
-    if args.init.startswith("two_mode:"):
-        parts = args.init.split(":")
-        amp_1, amp_k, k = complex(parts[1]), complex(parts[2]), int(parts[3])
-        report = two_mode_phase_report(amp_1, amp_k, k, args.n_modes, config)
-        summary["two_mode"] = report.to_record()
-    writer.emit(summary)
-    writer.close()
-    return EXIT_OK
+        hs = tuple(args.hs)
+        n_steps = config.n_steps()
+
+        def sample(i, current):
+            t = i * config.dt
+            rec = {"record": "sample", "t": t}
+            rec.update(invariant_report(current, hs).to_record())
+            # finite coefficients can still overflow a quartic energy or an H^s norm
+            overflowed = [key for key, value in rec.items()
+                          if isinstance(value, float) and not np.isfinite(value)]
+            if overflowed:
+                raise StepFailure(t, 0, np.inf, f"{', '.join(overflowed)} overflowed at t = {t:g}")
+            writer.emit(rec)
+            if args.snapshots:
+                write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
+
+        current = state
+        try:
+            sample(0, current)
+            for i in range(1, n_steps + 1):
+                current = step(current, config, (i - 1) * config.dt)
+                if i % config.sample_every == 0 or i == n_steps:
+                    sample(i, current)
+        except StepFailure as exc:
+            writer.emit({
+                "record": "error", "error_type": "step_failure", "t": exc.t,
+                "iterations": exc.iterations, "residual": exc.residual if np.isfinite(exc.residual) else None,
+                "message": str(exc),
+            })
+            return EXIT_NUMERICAL
+
+        summary = {"record": "summary", "t_end": config.t_end}
+        if args.init.startswith("psi_k:"):
+            k = int(args.init.split(":", 1)[1])
+            expected = np.exp(1j * k * (k - args.sigma) * config.t_end)
+            a_k = current.coeffs[k - 1]
+            summary["phase_deviation"] = abs(a_k - expected)
+            summary["modulus_deviation"] = abs(abs(a_k) - 1.0)
+        if args.init.startswith("two_mode:"):
+            parts = args.init.split(":")
+            amp_1, amp_k, k = complex(parts[1]), complex(parts[2]), int(parts[3])
+            report = two_mode_phase_report(amp_1, amp_k, k, args.n_modes, config)
+            summary["two_mode"] = report.to_record()
+        writer.emit(summary)
+        return EXIT_OK
+
+
+def _trunc_deviation(state: SpectralState, ref: np.ndarray) -> float:
+    """Deviation of the truncated kernel from modes 1..N of the direct output
+    ``ref``, relative to the largest of those modes."""
+    ref = ref[: state.n_modes]
+    got = _c_sigma_trunc_raw(state.coeffs, state.sigma)
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 def _verify_rows(seed: int):
@@ -243,10 +292,18 @@ def _verify_rows(seed: int):
                    float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref))) / scale, 1e-12)
             yield (f"route unsym sigma={sigma} seed={seed + i}",
                    float(np.max(np.abs(c_sigma_unsym(state).coeffs_full - ref))) / scale, 1e-12)
+            yield (f"route trunc N=32 sigma={sigma} seed={seed + i}", _trunc_deviation(state, ref), 1e-12)
             yield (f"route quadrature sigma={sigma} seed={seed + i}",
                    float(np.max(np.abs(c_sigma_quadrature(state, 8 * 32).coeffs_full - ref))) / scale, 1e-6)
             yield (f"sigma=1 mode-1 output seed={seed + i}",
                    float(np.abs(c_sigma_direct(seeded_state(1, 32, seed + i)).coeffs_full[0])), 1e-14)
+
+    # the FFT branch of the truncated kernel; sigma = 1 runs it on modes 2..N
+    n_fft = _CONV_MAX_N + 2
+    for sigma in (0, 1):
+        state = seeded_state(sigma, n_fft, seed)
+        yield (f"route trunc N={n_fft} sigma={sigma} seed={seed}",
+               _trunc_deviation(state, c_sigma_direct(state).coeffs_full), 1e-12)
 
     for sigma in (0, 1):
         for k in (1, 2, 3, 5, 8):
@@ -282,163 +339,160 @@ def _verify_rows(seed: int):
 
 
 def cmd_verify(args) -> int:
-    writer = _Writer(args.out, "verify")
-    writer.header("verify", {"seed": args.seed})
-    failures = 0
-    count = 0
-    for name, measured, tol in _verify_rows(args.seed):
-        ok = measured <= tol
-        failures += 0 if ok else 1
-        count += 1
-        writer.emit({
-            "record": "check", "name": name, "measured": measured,
-            "tolerance": tol, "pass": bool(ok),
-        })
-    writer.emit({"record": "summary", "checks": count, "failures": failures})
-    writer.close()
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
+    with _Writer(args.out, "verify") as writer:
+        writer.header("verify", {"seed": args.seed})
+        failures = 0
+        count = 0
+        for name, measured, tol in _verify_rows(args.seed):
+            ok = measured <= tol
+            failures += 0 if ok else 1
+            count += 1
+            writer.emit({
+                "record": "check", "name": name, "measured": measured,
+                "tolerance": tol, "pass": bool(ok),
+            })
+        writer.emit({"record": "summary", "checks": count, "failures": failures})
+        return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
 def cmd_minimize(args) -> int:
-    writer = _Writer(args.out, "minimize")
-    target = ConstraintTarget(
-        mass_target=args.mass_target,
-        momentum_target=args.momentum_target,
-        mode=args.constraint_mode,
-    )
-    opts = MinimizeOptions(
-        grad_tol=args.tol, max_iter=args.max_iter,
-        seed=args.seed, n_starts=args.n_starts,
-    )
-    writer.header("minimize", {
-        "sigma": args.sigma, "n_modes": args.n_modes,
-        "mass_target": args.mass_target, "momentum_target": args.momentum_target,
-        "constraint_mode": args.constraint_mode, "grad_tol": opts.grad_tol,
-        "max_iter": opts.max_iter, "seed": opts.seed, "n_starts": opts.n_starts,
-    })
-    init = None
-    if args.init is not None:
-        init = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
-    result = minimize_energy(args.sigma, args.n_modes, target, init=init, opts=opts)
-    rec = {"record": "minimizer"}
-    rec.update(result.to_record())
-    writer.emit(rec)
-    writer.close()
-    return EXIT_OK
+    with _Writer(args.out, "minimize") as writer:
+        target = ConstraintTarget(
+            mass_target=args.mass_target,
+            momentum_target=args.momentum_target,
+            mode=args.constraint_mode,
+        )
+        opts = MinimizeOptions(
+            grad_tol=args.tol, max_iter=args.max_iter,
+            seed=args.seed, n_starts=args.n_starts,
+        )
+        writer.header("minimize", {
+            "sigma": args.sigma, "n_modes": args.n_modes,
+            "mass_target": args.mass_target, "momentum_target": args.momentum_target,
+            "constraint_mode": args.constraint_mode, "grad_tol": opts.grad_tol,
+            "max_iter": opts.max_iter, "seed": opts.seed, "n_starts": opts.n_starts,
+        })
+        init = None
+        if args.init is not None:
+            init = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
+        result = minimize_energy(args.sigma, args.n_modes, target, init=init, opts=opts)
+        rec = {"record": "minimizer"}
+        rec.update(result.to_record())
+        writer.emit(rec)
+        return EXIT_OK
 
 
 def cmd_wave_residual(args) -> int:
-    writer = _Writer(args.out, "wave-residual")
-    state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
-    writer.header("wave-residual", {
-        "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
-        "speed": args.speed, "omega": args.omega,
-    })
-    spec = wave_residual(state, args.speed, args.omega)
-    scan = stationary_scan(state)
-    writer.emit({
-        "record": "wave_residual",
-        "speed": args.speed,
-        "omega": args.omega,
-        "residual": spec.residual,
-        "pairing_defect": spec.pairing_defect,
-        "rhs_norm": scan.rhs_norm,
-        "stationary": scan.stationary,
-        "classification": scan.description,
-    })
-    writer.close()
-    return EXIT_OK
+    with _Writer(args.out, "wave-residual") as writer:
+        state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
+        writer.header("wave-residual", {
+            "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
+            "speed": args.speed, "omega": args.omega,
+        })
+        spec = wave_residual(state, args.speed, args.omega)
+        scan = stationary_scan(state)
+        writer.emit({
+            "record": "wave_residual",
+            "speed": args.speed,
+            "omega": args.omega,
+            "residual": spec.residual,
+            "pairing_defect": spec.pairing_defect,
+            "rhs_norm": scan.rhs_norm,
+            "stationary": scan.stationary,
+            "classification": scan.description,
+        })
+        return EXIT_OK
 
 
 def cmd_invariants(args) -> int:
-    writer = _Writer(args.out, "invariants")
-    state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
-    writer.header("invariants", {
-        "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
-        "n_quad": args.n_quad, "h_s": list(args.hs),
-    })
-    es = energy_spectral(state)
-    rec = {
-        "record": "invariants",
-        "energy_spectral": es,
-        "energy_lambda_form": energy_lambda_form(state),
-        "energy_quadrature": energy_quadrature(state, max(args.n_quad, 8 * state.n_modes)),
-        "momentum": momentum(state),
-        "mass": mass(state),
-        "a1_re": first_mode(state).real,
-        "a1_im": first_mode(state).imag,
-        "pairing_defect": pairing_check(state),
-    }
-    for s in args.hs:
-        rec[f"H{s:g}"] = sobolev_norm(state, s)
-    writer.emit(rec)
-    writer.close()
-    return EXIT_OK
+    with _Writer(args.out, "invariants") as writer:
+        state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
+        writer.header("invariants", {
+            "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
+            "n_quad": args.n_quad, "h_s": list(args.hs),
+        })
+        es = energy_spectral(state)
+        rec = {
+            "record": "invariants",
+            "energy_spectral": es,
+            "energy_lambda_form": energy_lambda_form(state),
+            "energy_quadrature": energy_quadrature(state, max(args.n_quad, 8 * state.n_modes)),
+            "momentum": momentum(state),
+            "mass": mass(state),
+            "a1_re": first_mode(state).real,
+            "a1_im": first_mode(state).imag,
+            "pairing_defect": pairing_check(state),
+        }
+        for s in args.hs:
+            rec[f"H{s:g}"] = sobolev_norm(state, s)
+        writer.emit(rec)
+        return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    writer = _Writer(args.out, "bench")
-    writer.header("bench", {"sizes": list(args.sizes), "repeats": args.repeats, "seed": args.seed})
-    worst = 0.0
-    for n in args.sizes:
-        state = seeded_state(0, n, args.seed)
+    with _Writer(args.out, "bench") as writer:
+        writer.header("bench", {"sizes": list(args.sizes), "repeats": args.repeats, "seed": args.seed})
+        worst = 0.0
+        for n in args.sizes:
+            state = seeded_state(0, n, args.seed)
 
-        def best_time(fn):
-            best = np.inf
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                fn(state)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            def best_time(fn):
+                best = np.inf
+                for _ in range(args.repeats):
+                    t0 = time.perf_counter()
+                    fn(state)
+                    best = min(best, time.perf_counter() - t0)
+                return best
 
-        t_direct = best_time(c_sigma_direct)
-        t_fast = best_time(c_sigma_fast)
-        ref = c_sigma_direct(state).coeffs_full
-        dev = float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref)) / np.max(np.abs(ref)))
-        worst = max(worst, dev)
-        writer.emit({
-            "record": "bench", "N": n,
-            "t_direct": t_direct, "t_fast": t_fast,
-            "speedup": t_direct / t_fast, "max_deviation": dev,
-        })
-    writer.emit({"record": "summary", "max_deviation": worst, "pass": bool(worst <= 1e-11)})
-    writer.close()
-    return EXIT_OK if worst <= 1e-11 else EXIT_NUMERICAL
+            t_direct = best_time(c_sigma_direct)
+            t_fast = best_time(c_sigma_fast)
+            t_trunc = best_time(lambda s: _c_sigma_trunc_raw(s.coeffs, s.sigma))
+            ref = c_sigma_direct(state).coeffs_full
+            dev = float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref)) / np.max(np.abs(ref)))
+            dev_trunc = _trunc_deviation(state, ref)
+            worst = max(worst, dev, dev_trunc)
+            writer.emit({
+                "record": "bench", "N": n,
+                "t_direct": t_direct, "t_fast": t_fast, "t_trunc": t_trunc,
+                "speedup": t_direct / t_fast, "max_deviation": dev,
+                "trunc_deviation": dev_trunc,
+            })
+        writer.emit({"record": "summary", "max_deviation": worst, "pass": bool(worst <= 1e-11)})
+        return EXIT_OK if worst <= 1e-11 else EXIT_NUMERICAL
 
 
 def cmd_selftest(args) -> int:
-    writer = _Writer(args.out, "selftest")
-    writer.header("selftest", {"seed": args.seed})
-    failures = 0
+    with _Writer(args.out, "selftest") as writer:
+        writer.header("selftest", {"seed": args.seed})
+        failures = 0
 
-    def check(name, measured, tol):
-        nonlocal failures
-        ok = measured <= tol
-        failures += 0 if ok else 1
-        writer.emit({"record": "check", "name": name, "measured": float(measured),
-                     "tolerance": tol, "pass": bool(ok)})
+        def check(name, measured, tol):
+            nonlocal failures
+            ok = measured <= tol
+            failures += 0 if ok else 1
+            writer.emit({"record": "check", "name": name, "measured": float(measured),
+                         "tolerance": tol, "pass": bool(ok)})
 
-    check("kernel m=3", abs(kernel_integral(3, 1024) - 6.0 * np.pi), 1e-8)
-    state = seeded_state(0, 16, args.seed)
-    ref = c_sigma_direct(state).coeffs_full
-    check("route fast", float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref))), 1e-12)
-    check("energy lambda", abs(energy_lambda_form(state) - energy_spectral(state)), 1e-12)
+        check("kernel m=3", abs(kernel_integral(3, 1024) - 6.0 * np.pi), 1e-8)
+        state = seeded_state(0, 16, args.seed)
+        ref = c_sigma_direct(state).coeffs_full
+        check("route fast", float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref))), 1e-12)
+        check("energy lambda", abs(energy_lambda_form(state) - energy_spectral(state)), 1e-12)
 
-    config = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.2, sample_every=200)
-    traj = simulate(make_psi_k(2, 0, 4), config)
-    a2 = traj.final_state.coeffs[1]
-    check("psi_2 phase", abs(a2 - np.exp(4j * 0.2)), 1e-9)
+        config = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.2, sample_every=200)
+        traj = simulate(make_psi_k(2, 0, 4), config)
+        a2 = traj.final_state.coeffs[1]
+        check("psi_2 phase", abs(a2 - np.exp(4j * 0.2)), 1e-9)
 
-    result = minimize_energy(
-        1, 8,
-        ConstraintTarget(mass_target=2.0 * np.pi, momentum_target=2.0 * np.pi),
-        opts=MinimizeOptions(seed=args.seed, n_starts=1),
-    )
-    check("minimizer zero energy", abs(result.energy), 1e-10)
+        result = minimize_energy(
+            1, 8,
+            ConstraintTarget(mass_target=2.0 * np.pi, momentum_target=2.0 * np.pi),
+            opts=MinimizeOptions(seed=args.seed, n_starts=1),
+        )
+        check("minimizer zero energy", abs(result.energy), 1e-10)
 
-    writer.emit({"record": "summary", "failures": failures})
-    writer.close()
-    return EXIT_OK if failures == 0 else EXIT_NUMERICAL
+        writer.emit({"record": "summary", "failures": failures})
+        return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +560,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hs", type=float, nargs="*", default=[0.5, 1.0, 1.5])
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("bench", help="time the direct sum against the FFT route")
+    p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes")
     _add_common(p)
-    p.add_argument("--sizes", type=int, nargs="*", default=[16, 32, 64])
+    # 256 lies above _CONV_MAX_N, so the truncated kernel's FFT branch is timed too
+    p.add_argument("--sizes", type=int, nargs="*", default=[16, 32, 64, 256])
     p.add_argument("--repeats", type=int, default=3)
     p.set_defaults(func=cmd_bench)
 
@@ -528,18 +583,11 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError,) as exc:
-        print(json.dumps({"record": "error", "error_type": "validation", "message": str(exc)}),
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        error_type, code = _classify(exc)
+        print(json.dumps({"record": "error", "error_type": error_type, "message": str(exc)}),
               file=sys.stderr)
-        return EXIT_VALIDATION
-    except (StepFailure, ProjectionError, FloatingPointError) as exc:
-        print(json.dumps({"record": "error", "error_type": "numerical", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
-        print(json.dumps({"record": "error", "error_type": "io", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_IO
+        return code
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ The evolution is the coefficient ODE
 
     da_p/dt = i p [Q^N C_sigma(Q^N u)]_p,      p = 1..N,
 
-i.e. the sharp Galerkin regularization of du/dt = d/dx C_sigma[u].  Two
+i.e. the sharp Galerkin regularization of du/dt = d/dx C_sigma[u].  The
+right-hand side needs modes 1..N of C_sigma only, so it is computed by exact
+convolution at small N and on a grid of at least 2N - 1 points above (see
+``filament.nonlinearity``), not on the 4N grid of the full support.  Two
 steppers are provided: classical explicit RK4 and the implicit midpoint
 rule (solved by plain fixed-point iteration; the right-hand side is cubic
 and cheap, so Newton is unnecessary at desk scale).  The midpoint rule
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spectral import SpectralState, p_norm
-from .nonlinearity import _c_sigma_fast_raw
+from .nonlinearity import _c_sigma_trunc_raw, _trunc_constants
 from .invariants import invariant_report
 
 __all__ = [
@@ -121,29 +124,28 @@ class Trajectory:
         return out
 
 
-def _rhs_raw(a: np.ndarray, sigma: int, kvec: np.ndarray) -> np.ndarray:
-    c = _c_sigma_fast_raw(a, sigma)[: a.size]
-    return 1j * kvec * c
+def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+    return _trunc_constants(a.size).ik * _c_sigma_trunc_raw(a, sigma)
 
 
 def rhs(state: SpectralState) -> SpectralState:
     """Right-hand side of the coefficient ODE: i*p*[Q^N C_sigma(u)]_p."""
-    return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma, state.modes.astype(float)))
+    return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma))
 
 
-def _rk4_step(a, dt, sigma, kvec):
-    k1 = _rhs_raw(a, sigma, kvec)
-    k2 = _rhs_raw(a + 0.5 * dt * k1, sigma, kvec)
-    k3 = _rhs_raw(a + 0.5 * dt * k2, sigma, kvec)
-    k4 = _rhs_raw(a + dt * k3, sigma, kvec)
+def _rk4_step(a, dt, sigma):
+    k1 = _rhs_raw(a, sigma)
+    k2 = _rhs_raw(a + 0.5 * dt * k1, sigma)
+    k3 = _rhs_raw(a + 0.5 * dt * k2, sigma)
+    k4 = _rhs_raw(a + dt * k3, sigma)
     return a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(a, dt, sigma, kvec, tol, max_iter, t):
-    new = a + dt * _rhs_raw(a, sigma, kvec)  # explicit Euler predictor
+def _midpoint_step(a, dt, sigma, tol, max_iter, t):
+    new = a + dt * _rhs_raw(a, sigma)  # explicit Euler predictor
     residual = np.inf
     for it in range(1, max_iter + 1):
-        target = a + dt * _rhs_raw(0.5 * (a + new), sigma, kvec)
+        target = a + dt * _rhs_raw(0.5 * (a + new), sigma)
         residual = float(np.linalg.norm(target - new))
         new = target
         if residual <= tol:
@@ -153,14 +155,14 @@ def _midpoint_step(a, dt, sigma, kvec, tol, max_iter, t):
     raise StepFailure(t, max_iter, residual)
 
 
-def _advance(a, sigma, kvec, config, t):
+def _advance(a, sigma, config, t):
     # an overflowing step is caught by the finiteness test, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if config.scheme == "rk4":
-            out = _rk4_step(a, config.dt, sigma, kvec)
+            out = _rk4_step(a, config.dt, sigma)
         else:
             out = _midpoint_step(
-                a, config.dt, sigma, kvec,
+                a, config.dt, sigma,
                 config.midpoint_tol, config.midpoint_max_iter, t,
             )
     if not np.isfinite(out).all():
@@ -171,8 +173,7 @@ def _advance(a, sigma, kvec, config, t):
 
 def step(state: SpectralState, config: StepperConfig, t: float = 0.0) -> SpectralState:
     """Advance one step of the configured scheme; StepFailure if it fails."""
-    kvec = state.modes.astype(float)
-    return state.with_coeffs(_advance(state.coeffs, state.sigma, kvec, config, t))
+    return state.with_coeffs(_advance(state.coeffs, state.sigma, config, t))
 
 
 def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Trajectory:
@@ -182,13 +183,12 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     """
     n_steps = config.n_steps()
     a = np.array(state.coeffs)
-    kvec = state.modes.astype(float)
 
     times = [0.0]
     states = [state]
     reports = [invariant_report(state, h_s)]
     for i in range(1, n_steps + 1):
-        a = _advance(a, state.sigma, kvec, config, (i - 1) * config.dt)
+        a = _advance(a, state.sigma, config, (i - 1) * config.dt)
         if i % config.sample_every == 0 or i == n_steps:
             snap = state.with_coeffs(a)
             times.append(i * config.dt)

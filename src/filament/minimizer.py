@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralState, p_norm, seeded_state
-from .nonlinearity import _c_sigma_fast_raw
+from .nonlinearity import _c_sigma_trunc_raw
 from .invariants import energy_spectral, momentum, mass
 
 __all__ = [
@@ -209,7 +209,7 @@ def multiplier_extraction(state: SpectralState, sigma: int | None = None):
     a = state.coeffs
     if not np.any(np.abs(a) > 0.0):
         raise ValueError("multiplier extraction needs a non-zero state")
-    cubic = _c_sigma_fast_raw(a, state.sigma)[: a.size]
+    cubic = _c_sigma_trunc_raw(a, state.sigma)
     lam, mu, _, rel = _fit_multipliers(a, cubic)
     return lam, mu, rel
 
@@ -260,7 +260,7 @@ class MinimizerResult:
 
 
 def _energy_and_gradient(a: np.ndarray, sigma: int):
-    cubic = _c_sigma_fast_raw(a, sigma)[: a.size]
+    cubic = _c_sigma_trunc_raw(a, sigma)
     energy = 4.0 * float(np.sum(np.conj(cubic) * a).real)  # pairing identity
     return energy, cubic
 

@@ -23,13 +23,23 @@ rounding for band-limited states; the direct triple sum is the reference.
 For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
 first N entries (the sharp-cutoff Galerkin nonlinearity).
+
+The flow and the minimizer need only those first N modes.  The private
+kernel ``_c_sigma_trunc_raw`` computes just them, from the same identity:
+by exact products of coefficient sequences (O(N^2), no grid) up to
+``_CONV_MAX_N`` modes, and above that on a grid of M >= 2N - 1 points,
+where modes 1..N of the cubic product are alias-free (the full support
+would need M >= 3N - 2, hence the 4N grid of ``c_sigma_fast``).
 """
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft as sfft
 
 from .spectral import SpectralState, dealiased_grid_size, _synthesize
 
@@ -129,6 +139,61 @@ def _c_sigma_fast_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     out = np.zeros(2 * n - 1, dtype=np.complex128)
     if n >= 2:
         out[1 : 2 * n - 2] = _c_zero_fast_raw(a[1:])
+    return out
+
+
+# Above this bandwidth the 2N-grid FFT route of ``_c_zero_trunc_raw`` beats
+# the exact O(N^2) convolution: in-process best-of-15 timings of the two
+# branches (numpy 2.4, scipy 1.17, 2 vCPUs) broke even at N ~ 150-170.
+_CONV_MAX_N = 160
+
+
+_TruncConstants = namedtuple("_TruncConstants", "k absd absf m ik")
+
+
+@functools.lru_cache(maxsize=64)
+def _trunc_constants(n: int) -> _TruncConstants:
+    """Per-bandwidth constants of the truncated kernel, read-only:
+    k = 1..N, |s| on s = 1-N..N-1, the rfft symbol |f|, the grid size M
+    (>= 2N-1, so modes 1..N of the cubic product are alias-free) and i*k."""
+    m = sfft.next_fast_len(2 * n)
+    k = np.arange(1.0, n + 1.0)
+    consts = _TruncConstants(k, np.abs(np.arange(1.0 - n, n)), np.arange(m // 2 + 1.0), m, 1j * k)
+    for arr in (consts.k, consts.absd, consts.absf, consts.ik):
+        arr.flags.writeable = False
+    return consts
+
+
+def _c_zero_trunc_raw(a: np.ndarray) -> np.ndarray:
+    n = a.size
+    k, absd, absf, m, _ = _trunc_constants(n)
+    ka = k * a
+    if n <= _CONV_MAX_N:
+        # exact products of coefficient sequences: c holds |u|^2 on modes
+        # 1-N..N-1, and "valid" keeps exactly the output modes 1..N
+        c = np.correlate(a, a, "full")
+        return np.convolve(c, ka, "valid") - np.convolve(absd * c, a, "valid")
+    spec = np.zeros((2, m), dtype=np.complex128)
+    spec[0, 1 : n + 1] = a
+    spec[1, 1 : n + 1] = ka
+    u, lam_u = sfft.ifft(spec, norm="forward", overwrite_x=True)
+    usq = u.real**2 + u.imag**2
+    lam_usq = sfft.irfft(absf * sfft.rfft(usq), m)
+    return sfft.fft(usq * lam_u - u * lam_usq, norm="forward")[1 : n + 1]
+
+
+def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+    """Q^N C_sigma, modes 1..N only: what the flow and the minimizer use.
+
+    Exact convolution in coefficient space up to ``_CONV_MAX_N`` modes, a
+    2N FFT grid above; sigma = 1 uses the index shift of _c_sigma_fast_raw,
+    so its mode-1 output is exactly 0.
+    """
+    if sigma == 0:
+        return _c_zero_trunc_raw(a)
+    out = np.zeros(a.size, dtype=np.complex128)
+    if a.size >= 2:
+        out[1:] = _c_zero_trunc_raw(a[1:])
     return out
 
 

@@ -11,15 +11,19 @@ Multiplier conventions used throughout the package:
     Lambda  <->  |k|          absolute derivative
     Q^J     <->  1_[0,J](k)   sharp Galerkin cutoff
 
-All pointwise cubic products of bandwidth-N states are formed on grids of
+Pointwise cubic products of bandwidth-N states are formed on grids of
 size >= 4*N.  A cubic product of three bandwidth-N factors only reaches
-mode 3*N, so with that margin every FFT product in the package is exactly
-alias-free and agrees with the direct convolution up to rounding.
+mode 3*N, so with that margin the full product is exactly alias-free and
+agrees with the direct convolution up to rounding.  Where only modes 1..N
+of the product are kept (the truncated flow), a grid of size >= 2*N - 1
+already suffices; see ``filament.nonlinearity``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,9 +240,20 @@ def state_from_dict(data: dict) -> SpectralState:
 
 
 def write_snapshot(state: SpectralState, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh)
-        fh.write("\n")
+    """Write the snapshot atomically: a reader or a restart sees the old file
+    or the new one, never a partial write.  The temporary file is hidden and
+    sits in the target directory, so ``os.replace`` stays a rename."""
+    directory, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state_to_dict(state), fh)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def read_snapshot(path) -> SpectralState:

@@ -151,6 +151,33 @@ def test_simulate_energy_overflow_exits_step_failure(tmp_path):
     assert records[-1]["error_type"] == "step_failure" and records[-1]["t"] == 0.0
 
 
+def test_simulate_hs_overflow_exits_step_failure(tmp_path):
+    # finite coefficients whose H^200 norm overflows: error record, never Infinity
+    out = tmp_path / "hs.jsonl"
+    code = main(["simulate", "--n-modes", "64", "--hs", "200", "--t-end", "0.01",
+                 "--dt", "1e-3", "--out", str(out)])
+    assert code == 2
+    with open(out) as fh:
+        records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
+    assert [r["record"] for r in records] == ["header", "error"]
+    assert records[-1]["error_type"] == "step_failure" and "H200" in records[-1]["message"]
+
+
+def test_stream_ends_with_error_record_after_header(tmp_path, capsys):
+    # the snapshot directory cannot be made under a regular file: I/O error after the header
+    blocker = tmp_path / "regular-file"
+    blocker.write_text("")
+    out = tmp_path / "run.jsonl"
+    code = main(["simulate", "--n-modes", "4", "--dt", "1e-2", "--t-end", "0.1",
+                 "--snapshots", str(blocker / "snaps"), "--out", str(out)])
+    assert code == 3
+    records = read_records(out)
+    assert [r["record"] for r in records] == ["header", "error"]
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert records[-1]["error_type"] == err["error_type"] == "io"
+    assert records[-1]["message"] == err["message"]
+
+
 @pytest.mark.parametrize("record", [
     {"sigma": 0, "n_modes": True, "coeffs": [[1.0, 0.0]]},
     {"sigma": 0, "n_modes": 1, "coeffs": [[float("nan"), 0.0]]},
@@ -238,6 +265,7 @@ def test_bench_small(tmp_path):
     assert [r["N"] for r in rows] == [16, 32]
     assert all(r["max_deviation"] <= 1e-11 for r in rows)
     assert all(r["t_direct"] > 0 and r["t_fast"] > 0 for r in rows)
+    assert all(r["t_trunc"] > 0 and r["trunc_deviation"] <= 1e-12 for r in rows)
 
 
 def test_selftest(tmp_path):

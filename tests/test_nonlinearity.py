@@ -3,6 +3,9 @@ import pytest
 
 from filament.spectral import SpectralState, seeded_state
 from filament.nonlinearity import (
+    _CONV_MAX_N,
+    _c_sigma_direct_raw,
+    _c_sigma_trunc_raw,
     c_sigma_direct,
     c_sigma_unsym,
     c_sigma_fast,
@@ -68,6 +71,24 @@ def test_route_equivalence_at_scale(sigma):
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(c_sigma_unsym(st).coeffs_full - ref)) <= 1e-13 * scale
         assert np.max(np.abs(c_sigma_fast(st).coeffs_full - ref)) <= 1e-12 * scale
+
+
+# both branches of the truncated kernel, for each sigma: sigma = 1 runs the
+# sigma = 0 kernel on N - 1 modes, hence crossover + 2
+TRUNC_SIZES = [1, 2, 3, 17, _CONV_MAX_N, _CONV_MAX_N + 1, _CONV_MAX_N + 2, 128, 200]
+
+
+@pytest.mark.parametrize("n", TRUNC_SIZES)
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_truncated_kernel_matches_direct(n, sigma):
+    for seed in range(3):
+        a = seeded_state(sigma, n, seed).coeffs
+        ref = _c_sigma_direct_raw(a, sigma)[:n]
+        got = _c_sigma_trunc_raw(a, sigma)
+        assert got.shape == (n,)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        if sigma == 1:
+            assert got[0] == 0.0
 
 
 def test_quadrature_minimum_resolution_is_exact():

@@ -201,3 +201,21 @@ def test_snapshot_round_trip_is_bit_exact():
     st = SpectralState(0, [complex(-0.0, -0.0), 1e-300 - 2.5j, -3.0 + 0.0j])
     back = state_from_dict(json.loads(json.dumps(state_to_dict(st))))
     assert back.coeffs.tobytes() == st.coeffs.tobytes()
+
+
+def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "snapshot-00000001.json"
+    st = SpectralState(1, [complex(-0.0, -0.0), 1e-300 - 2.5j, -3.0 + 0.0j])
+    write_snapshot(seeded_state(0, 2, 0), path)
+    write_snapshot(st, path)  # replaces the existing file
+    assert read_snapshot(path).coeffs.tobytes() == st.coeffs.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    # a write that fails part way leaves the previous file whole and no temporary
+    import filament.spectral as spectral
+    monkeypatch.setattr(spectral, "state_to_dict",
+                        lambda s: {"sigma": 0, "n_modes": 1, "coeffs": [[1.0, 0.0], object()]})
+    with pytest.raises(TypeError):
+        write_snapshot(st, path)
+    assert read_snapshot(path).coeffs.tobytes() == st.coeffs.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
