@@ -55,6 +55,7 @@ from .waves import (
     orbit_distance,
     orbital_stability_probe,
     two_mode_phase_report,
+    two_mode_phase_fit,
 )
 from .minimizer import (
     ConstraintTarget,

@@ -52,7 +52,7 @@ from .waves import (
     make_two_mode,
     wave_residual,
     stationary_scan,
-    two_mode_phase_report,
+    two_mode_phase_fit,
 )
 from .minimizer import (
     ConstraintTarget,
@@ -205,6 +205,8 @@ def cmd_simulate(args) -> int:
 
         hs = tuple(args.hs)
         n_steps = config.n_steps()
+        two_mode_k = int(args.init.split(":")[3]) if args.init.startswith("two_mode:") else 0
+        tracked = []  # (t, a_1, a_k) per sample: the two_mode phase fit reads these
 
         def sample(i, current):
             t = i * config.dt
@@ -216,6 +218,8 @@ def cmd_simulate(args) -> int:
             if overflowed:
                 raise StepFailure(t, 0, np.inf, f"{', '.join(overflowed)} overflowed at t = {t:g}")
             writer.emit(rec)
+            if two_mode_k:
+                tracked.append((t, current.coeffs[0], current.coeffs[two_mode_k - 1]))
             if args.snapshots:
                 write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
 
@@ -241,11 +245,11 @@ def cmd_simulate(args) -> int:
             a_k = current.coeffs[k - 1]
             summary["phase_deviation"] = abs(a_k - expected)
             summary["modulus_deviation"] = abs(abs(a_k) - 1.0)
-        if args.init.startswith("two_mode:"):
-            parts = args.init.split(":")
-            amp_1, amp_k, k = complex(parts[1]), complex(parts[2]), int(parts[3])
-            report = two_mode_phase_report(amp_1, amp_k, k, args.n_modes, config)
-            summary["two_mode"] = report.to_record()
+        if two_mode_k:
+            amp_1, amp_k = (complex(x) for x in args.init.split(":")[1:3])
+            times, series_1, series_k = zip(*tracked)
+            summary["two_mode"] = two_mode_phase_fit(
+                times, series_1, series_k, amp_1, amp_k, two_mode_k).to_record()
         writer.emit(summary)
         return EXIT_OK
 
@@ -326,6 +330,14 @@ def _verify_rows(seed: int):
                    abs(energy_quadrature(state, 8 * 32) - es) / scale, 1e-5)
             yield (f"pairing sigma={sigma} seed={seed + 10 + i}",
                    pairing_check(state) / (1.0 + abs(es)), 1e-10)
+
+    # the per-sample energy (pairing on the truncated kernel) on both kernel branches
+    for n in (32, n_fft):
+        for sigma in (0, 1):
+            state = seeded_state(sigma, n, seed + 20)
+            es = energy_spectral(state)
+            yield (f"energy routes N={n} sigma={sigma} seed={seed + 20} pairing",
+                   abs(invariant_report(state).energy - es) / max(abs(es), 1e-30), 1e-12)
 
     yield ("gradient check psi_2 sigma=0", energy_gradient_check(make_psi_k(2, 0, 4), 1e-4), 1e-6)
     yield ("gradient check seeded sigma=1", energy_gradient_check(seeded_state(1, 8, seed), 1e-4), 1e-6)

@@ -14,8 +14,10 @@ and cheap, so Newton is unnecessary at desk scale).  The midpoint rule
 conserves the quadratic invariants P and M to the fixed-point tolerance
 per step, which makes it the choice for long-horizon conservation runs.
 
-Diagnostics along a trajectory are computed with the exact spectral
-energy route, so measured drift is integration error and nothing else.
+Diagnostics along a trajectory take the energy from the pairing identity
+E = 4 Re <a, Q^N C_sigma a> on the same truncated kernel; it is exact (it
+agrees with the layer-cake reference to rounding), so measured drift is
+integration error and nothing else.
 """
 
 from __future__ import annotations

@@ -34,7 +34,11 @@ pairing the gradient identity with u gives
 
     2pi sum_p conj(C_p) a_p = (pi/2) E_sigma(u),
 
-which :func:`pairing_check` verifies numerically.
+which :func:`pairing_check` verifies numerically.  The pairing needs modes
+1..N of C_sigma only, so E = 4 Re <a, Q^N C_sigma a> is also an exact
+energy route on the truncated kernel of ``filament.nonlinearity``
+(O(N log N), exact products below ``_CONV_MAX_N``): that is the per-sample
+energy of :func:`invariant_report`; the layer cake stays the reference.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralState, dealiased_grid_size, _synthesize
-from .nonlinearity import _c_sigma_direct_raw, _shifted_samples
+from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _shifted_samples
 
 __all__ = [
     "InvariantReport",
@@ -84,6 +88,14 @@ def energy_spectral(state: SpectralState) -> float:
     is a sum of squares, so nonnegative by construction.
     """
     return _energy_spectral_raw(state.coeffs, state.sigma)
+
+
+def _energy_pairing_raw(a: np.ndarray, sigma: int) -> float:
+    # E = 4 Re <a, Q^N C_sigma a>: Euler's relation for the quartic E and
+    # the gradient identity dE/d conj(a_p) = 8 C_p.  An overflowing energy
+    # comes out non-finite, which the callers test; no warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return 4.0 * np.vdot(a, _c_sigma_trunc_raw(a, sigma)).real
 
 
 def energy_lambda_form(state: SpectralState) -> float:
@@ -143,11 +155,21 @@ def first_mode(state: SpectralState) -> complex:
 
 
 def sobolev_norm(state: SpectralState, s: float) -> float:
-    """H^s norm (2pi sum k^{2s} |a_k|^2)^{1/2}; diagnostic only."""
+    """H^s norm (2pi sum k^{2s} |a_k|^2)^{1/2}; diagnostic only.
+
+    Evaluated as K^s (2pi sum ((k/K)^s |a_k|)^2)^{1/2}, K the highest
+    nonzero mode, so a representable norm never overflows on the way; a
+    norm beyond the float range is inf, without a warning.
+    """
     if s < -1.0:
         raise ValueError(f"Sobolev exponent must be >= -1, got {s}")
-    k = state.modes.astype(float)
-    return float(np.sqrt(_TWO_PI * np.sum(k ** (2.0 * s) * np.abs(state.coeffs) ** 2)))
+    nonzero = np.flatnonzero(state.coeffs)
+    if nonzero.size == 0:
+        return 0.0
+    top = nonzero[-1] + 1
+    scaled = (state.modes[:top] / top) ** s * np.abs(state.coeffs[:top])
+    with np.errstate(over="ignore"):
+        return float(np.float64(top) ** s * np.sqrt(_TWO_PI * np.sum(scaled**2)))
 
 
 def pairing_check(state: SpectralState) -> float:
@@ -213,9 +235,14 @@ class InvariantReport:
 
 
 def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
-    """Compute all conserved quantities (energy via the exact spectral route)."""
+    """Compute all conserved quantities.
+
+    The energy is the pairing 4 Re <a, Q^N C_sigma a> on the truncated
+    kernel: exact like :func:`energy_spectral` (they agree to rounding) at
+    O(N log N) cost, so it is the per-sample diagnostic of every trajectory.
+    """
     return InvariantReport(
-        energy=energy_spectral(state),
+        energy=_energy_pairing_raw(state.coeffs, state.sigma),
         momentum=momentum(state),
         mass=mass(state),
         a1=first_mode(state),

@@ -35,6 +35,7 @@ __all__ = [
     "orbit_distance",
     "orbital_stability_probe",
     "two_mode_phase_report",
+    "two_mode_phase_fit",
 ]
 
 
@@ -262,12 +263,25 @@ def two_mode_phase_report(
     k(k-1)|B|^2.  The rate including the cross terms that cancel,
     k(k-1)(2|A|^2 + |B|^2), is reported alongside for comparison.
     """
-    state = make_two_mode(amp_1, amp_k, k, n_modes)
-    traj = simulate(state, config)
-    series_1 = np.array([s.coeffs[0] for s in traj.states])
-    series_k = np.array([s.coeffs[k - 1] for s in traj.states])
+    traj = simulate(make_two_mode(amp_1, amp_k, k, n_modes), config)
+    return two_mode_phase_fit(
+        traj.times,
+        [s.coeffs[0] for s in traj.states],
+        [s.coeffs[k - 1] for s in traj.states],
+        amp_1, amp_k, k,
+    )
+
+
+def two_mode_phase_fit(
+    times, series_1, series_k, amp_1: complex, amp_k: complex, k: int,
+) -> TwoModePhaseReport:
+    """The two-mode report from sampled a_1 and a_k of a run started at
+    a_1 = amp_1, a_k = amp_k: a least-squares slope of the unwrapped arg a_k
+    and the largest modulus drifts."""
+    series_1 = np.asarray(series_1)
+    series_k = np.asarray(series_k)
     phases = np.unwrap(np.angle(series_k))
-    slope = float(np.polyfit(traj.times, phases, 1)[0])
+    slope = float(np.polyfit(times, phases, 1)[0])
     asq, bsq = abs(amp_1) ** 2, abs(amp_k) ** 2
     return TwoModePhaseReport(
         measured_rate=slope,

@@ -66,6 +66,29 @@ def test_simulate_two_mode_reports_both_rates(tmp_path):
     assert tm["rate_with_cross_terms"] == pytest.approx(6.0)
 
 
+def test_simulate_two_mode_summary_uses_emitted_samples(tmp_path, monkeypatch):
+    from filament import cli, waves
+    from filament.integrator import StepperConfig
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.5, sample_every=50)
+    expected = waves.two_mode_phase_report(0.8, 0.6, 3, 5, cfg).to_record()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate must not run on the CLI path")
+
+    monkeypatch.setattr(cli, "simulate", forbidden)
+    monkeypatch.setattr(waves, "simulate", forbidden)
+    out = tmp_path / "tm.jsonl"
+    code = main([
+        "simulate", "--init", "two_mode:0.8:0.6:3", "--sigma", "1", "--n-modes", "5",
+        "--dt", "1e-3", "--t-end", "0.5", "--sample-every", "50", "--out", str(out),
+    ])
+    assert code == 0
+    got = by_kind(read_records(out), "summary")[0]["two_mode"]
+    assert set(got) == set(expected)
+    for key, value in expected.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
 def test_simulate_snapshot_roundtrip(tmp_path):
     snap_dir = tmp_path / "snaps"
     out = tmp_path / "run.jsonl"
@@ -161,6 +184,18 @@ def test_simulate_hs_overflow_exits_step_failure(tmp_path):
         records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
     assert [r["record"] for r in records] == ["header", "error"]
     assert records[-1]["error_type"] == "step_failure" and "H200" in records[-1]["message"]
+
+
+def test_simulate_large_hs_exponent_stays_finite(tmp_path):
+    # H^100 of this state is ~2e178: representable, so no spurious overflow
+    out = tmp_path / "hs.jsonl"
+    code = main(["simulate", "--n-modes", "64", "--hs", "100", "--t-end", "0.01",
+                 "--dt", "1e-3", "--out", str(out)])
+    assert code == 0
+    with open(out) as fh:
+        records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
+    samples = by_kind(records, "sample")
+    assert samples and all(np.isfinite(s["H100"]) and s["H100"] > 1e170 for s in samples)
 
 
 def test_stream_ends_with_error_record_after_header(tmp_path, capsys):

@@ -188,6 +188,18 @@ def test_sobolev_norms():
         sobolev_norm(make_psi_k(1, 0, 1), -1.5)
 
 
+def test_sobolev_norm_large_exponent():
+    # ~2e178: representable, though k^(2s) alone overflows at k = 64
+    st = seeded_state(0, 64, 1)
+    log_terms = 100.0 * np.log(st.modes) + np.log(np.abs(st.coeffs))
+    top = log_terms.max()
+    ref = np.exp(top + 0.5 * np.log(TWO_PI * np.sum(np.exp(2.0 * (log_terms - top)))))
+    assert sobolev_norm(st, 100.0) == pytest.approx(ref, rel=1e-12)
+    # beyond the float range: inf without a RuntimeWarning; the zero state stays 0
+    assert sobolev_norm(st, 200.0) == np.inf
+    assert sobolev_norm(SpectralState(0, np.zeros(64)), 200.0) == 0.0
+
+
 def test_pairing_identity_single_modes():
     for sigma in (0, 1):
         for k in (1, 2, 5):
@@ -238,3 +250,27 @@ def test_invariant_report_fields():
     rec = rep.to_record()
     assert rec["H1"] == pytest.approx(2.0 * np.sqrt(TWO_PI), rel=1e-14)
     assert set(rec) == {"E", "P", "M", "a1_re", "a1_im", "H0", "H1"}
+
+
+# 160/161/162 straddle the kernel's convolution/FFT crossover; sigma = 1 runs
+# the shifted size N - 1, so 161 is its last convolution case
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 160, 161, 162, 256, 512])
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("seed", range(3))
+def test_invariant_report_energy_matches_spectral(n, sigma, seed):
+    st = seeded_state(sigma, n, seed, amplitude=1.0)
+    ref = energy_spectral(st)
+    assert invariant_report(st).energy == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_invariant_report_energy_exact_zero_sigma1():
+    assert invariant_report(SpectralState(1, [0.7 - 0.2j])).energy == 0.0
+    assert invariant_report(SpectralState(1, [1.5, 0, 0, 0, 0])).energy == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 256])
+def test_invariant_report_energy_overflow_is_quiet(n):
+    # a quartic energy beyond the float range comes out non-finite, with no
+    # RuntimeWarning from the kernel's intermediate products
+    st = SpectralState(0, 1e120 * seeded_state(0, n, 0).coeffs)
+    assert not np.isfinite(invariant_report(st).energy)
