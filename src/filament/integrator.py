@@ -22,7 +22,7 @@ integration error and nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -148,7 +148,8 @@ def _midpoint_step(a, dt, sigma, tol, max_iter, t):
     residual = np.inf
     for it in range(1, max_iter + 1):
         target = a + dt * _rhs_raw(0.5 * (a + new), sigma)
-        residual = float(np.linalg.norm(target - new))
+        d = target - new
+        residual = float(np.sqrt(np.vdot(d, d).real))  # 2-norm, cheaper than linalg.norm
         new = target
         if residual <= tol:
             return new
@@ -225,14 +226,7 @@ def scaling_check(state: SpectralState, lam: float, config: StepperConfig) -> fl
     if not lam > 0.0:
         raise ValueError("lam must be positive")
     ref = simulate(state, config).final_state
-    scaled_cfg = StepperConfig(
-        scheme=config.scheme,
-        dt=config.dt,
-        t_end=config.t_end / lam**2,
-        sample_every=config.sample_every,
-        midpoint_tol=config.midpoint_tol,
-        midpoint_max_iter=config.midpoint_max_iter,
-    )
+    scaled_cfg = replace(config, t_end=config.t_end / lam**2)
     scaled = simulate(state.with_coeffs(lam * state.coeffs), scaled_cfg).final_state
     target = lam * ref.coeffs
     denom = max(p_norm(target), 1e-300)

@@ -39,9 +39,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as sfft
 
-from .spectral import SpectralState, dealiased_grid_size, _synthesize
+from .spectral import SpectralState, dealiased_grid_size, _next_fast_len, _synthesize
 
 __all__ = [
     "NonlinearityResult",
@@ -82,7 +81,16 @@ def _accumulate(out: np.ndarray, p_index: np.ndarray, values: np.ndarray) -> Non
     out.imag += np.bincount(p_index, values.imag, minlength=out.size)
 
 
-def _c_sigma_direct_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+def _min_weight(k, l, m, p):
+    return np.minimum(np.minimum(k, l), np.minimum(m, p))
+
+
+def _unsym_weight(k, l, m, p):
+    return k - np.abs(k - p)
+
+
+def _c_sigma_direct_raw(a: np.ndarray, sigma: int, weight=_min_weight) -> np.ndarray:
+    """Exact triple sum over p = k + l - m with ``weight(k, l, m, p) - sigma``."""
     n = a.size
     out = np.zeros(2 * n - 1, dtype=np.complex128)
     ks = np.arange(1, n + 1)
@@ -91,23 +99,8 @@ def _c_sigma_direct_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     for k in ks:
         p = k + lgrid - mgrid
         valid = p >= 1
-        weight = np.minimum(np.minimum(k, lgrid), np.minimum(mgrid, p)) - sigma
-        vals = (a[k - 1] * pair[valid]) * weight[valid]
-        _accumulate(out, p[valid] - 1, vals)
-    return out
-
-
-def _c_sigma_unsym_raw(a: np.ndarray, sigma: int) -> np.ndarray:
-    n = a.size
-    out = np.zeros(2 * n - 1, dtype=np.complex128)
-    ks = np.arange(1, n + 1)
-    lgrid, mgrid = np.meshgrid(ks, ks, indexing="ij")
-    pair = a[lgrid - 1] * np.conj(a[mgrid - 1])
-    for k in ks:
-        p = k + lgrid - mgrid
-        valid = p >= 1
-        weight = k - np.abs(k - p) - sigma
-        vals = (a[k - 1] * pair[valid]) * weight[valid]
+        w = weight(k, lgrid, mgrid, p) - sigma
+        vals = (a[k - 1] * pair[valid]) * w[valid]
         _accumulate(out, p[valid] - 1, vals)
     return out
 
@@ -142,9 +135,11 @@ def _c_sigma_fast_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     return out
 
 
-# Above this bandwidth the 2N-grid FFT route of ``_c_zero_trunc_raw`` beats
-# the exact O(N^2) convolution: in-process best-of-15 timings of the two
-# branches (numpy 2.4, scipy 1.17, 2 vCPUs) broke even at N ~ 150-170.
+# Crossover from the exact O(N^2) convolution to the 2N-grid FFT route of
+# ``_c_zero_trunc_raw``.  In-process best-of-15 timings of the two branches
+# (numpy 2.4 numpy.fft, 2 vCPUs) broke even at N ~ 176-188; up to there the
+# convolution is at most ~10% faster per call than the FFT.  The value stays
+# at 160, where the verify rows and tests that straddle the crossover sit.
 _CONV_MAX_N = 160
 
 
@@ -155,8 +150,9 @@ _TruncConstants = namedtuple("_TruncConstants", "k absd absf m ik")
 def _trunc_constants(n: int) -> _TruncConstants:
     """Per-bandwidth constants of the truncated kernel, read-only:
     k = 1..N, |s| on s = 1-N..N-1, the rfft symbol |f|, the grid size M
-    (>= 2N-1, so modes 1..N of the cubic product are alias-free) and i*k."""
-    m = sfft.next_fast_len(2 * n)
+    and i*k.  M is the smallest 11-smooth length >= 2N (for numpy.fft), so
+    M >= 2N-1 and modes 1..N of the cubic product are alias-free."""
+    m = _next_fast_len(2 * n)
     k = np.arange(1.0, n + 1.0)
     consts = _TruncConstants(k, np.abs(np.arange(1.0 - n, n)), np.arange(m // 2 + 1.0), m, 1j * k)
     for arr in (consts.k, consts.absd, consts.absf, consts.ik):
@@ -176,10 +172,17 @@ def _c_zero_trunc_raw(a: np.ndarray) -> np.ndarray:
     spec = np.zeros((2, m), dtype=np.complex128)
     spec[0, 1 : n + 1] = a
     spec[1, 1 : n + 1] = ka
-    u, lam_u = sfft.ifft(spec, norm="forward", overwrite_x=True)
-    usq = u.real**2 + u.imag**2
-    lam_usq = sfft.irfft(absf * sfft.rfft(usq), m)
-    return sfft.fft(usq * lam_u - u * lam_usq, norm="forward")[1 : n + 1]
+    u, lam_u = np.fft.ifft(spec, norm="forward")
+    # in-place products: each saved temporary is worth ~1 us at M ~ 512, about
+    # what numpy.fft's complex transforms cost over scipy.fft's there
+    usq = u.real * u.real
+    usq += u.imag * u.imag
+    f = np.fft.rfft(usq)
+    f *= absf
+    lam_usq = np.fft.irfft(f, m)
+    lam_u *= usq
+    lam_u -= u * lam_usq
+    return np.fft.fft(lam_u, norm="forward")[1 : n + 1]
 
 
 def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
@@ -214,7 +217,7 @@ def c_sigma_unsym(state: SpectralState) -> NonlinearityResult:
     (k, l) turns that weight into min(k,l,m,p) - sigma.
     """
     return NonlinearityResult(
-        state.sigma, state.n_modes, _c_sigma_unsym_raw(state.coeffs, state.sigma)
+        state.sigma, state.n_modes, _c_sigma_direct_raw(state.coeffs, state.sigma, _unsym_weight)
     )
 
 

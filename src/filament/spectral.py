@@ -27,7 +27,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 __all__ = [
     "SpectralState",
@@ -100,6 +99,7 @@ class GridField:
 
 
 # symbols of the diagonal multipliers, as functions of the integer mode
+# (scalar or array)
 MULTIPLIER_SYMBOLS = {
     "lambda": lambda k: abs(k),
     "lambda_inv": lambda k: 1.0 / abs(k),
@@ -127,7 +127,7 @@ def apply_multiplier(state: SpectralState, which: str, cutoff: int | None = None
     except KeyError:
         names = tuple(MULTIPLIER_SYMBOLS) + ("q_cutoff",)
         raise ValueError(f"unknown multiplier {which!r}; expected one of {names}") from None
-    return state.with_coeffs(np.array([symbol(int(kk)) for kk in k]) * state.coeffs)
+    return state.with_coeffs(symbol(k) * state.coeffs)
 
 
 def _synthesize(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
@@ -171,10 +171,24 @@ def from_grid(fieldv: GridField, n_modes: int, sigma: int = 0) -> SpectralState:
     return SpectralState(sigma, _analyze(fieldv.samples, n_modes))
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer >= target: a length that numpy.fft's
+    pocketfft transforms in O(M log M) with only small-radix passes."""
+    n = max(target, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def dealiased_grid_size(n_modes: int) -> int:
     """Grid size for alias-free cubic products: >= 4*N, rounded up to a
     highly composite FFT length (correctness never depends on the rounding)."""
-    return next_fast_len(max(4 * n_modes, 8))
+    return _next_fast_len(max(4 * n_modes, 8))
 
 
 def p_norm(coeffs: np.ndarray) -> float:

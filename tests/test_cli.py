@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +316,19 @@ def test_env_var_output_directory(tmp_path, monkeypatch):
     assert main(["selftest"]) == 0
     records = read_records(tmp_path / "outdir" / "selftest.jsonl")
     assert records[0]["record"] == "header"
+
+
+def test_import_does_not_load_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import filament, filament.cli, sys; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -15,7 +15,10 @@ from filament.spectral import (
     state_to_dict,
     write_snapshot,
     read_snapshot,
+    _next_fast_len,
+    MULTIPLIER_SYMBOLS,
 )
+from filament.nonlinearity import _trunc_constants
 
 from oracles import convolution_brute_force, triple_product_coeffs
 
@@ -59,6 +62,15 @@ def test_multiplier_d_x():
     st = SpectralState(0, [1.0, 1.0, 1.0])
     out = apply_multiplier(st, "d_x")
     assert np.allclose(out.coeffs, [1j, 2j, 3j])
+
+
+@pytest.mark.parametrize("which", ["lambda", "lambda_inv", "d_x"])
+def test_multiplier_matches_per_mode_symbols(which):
+    st = seeded_state(0, 64, 3)
+    symbol = MULTIPLIER_SYMBOLS[which]
+    expect = np.array([symbol(int(k)) for k in st.modes]) * st.coeffs
+    got = apply_multiplier(st, which).coeffs
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_multiplier_unknown_id():
@@ -137,6 +149,33 @@ def test_product_equals_linear_convolution(seed):
     got = from_grid(GridField(ua * ub), 2 * n).coeffs
     expect = np.concatenate([[0.0], convolution_brute_force(a, b)])
     assert np.allclose(got, expect, atol=1e-12 * np.max(np.abs(expect)))
+
+
+def _is_11_smooth(n):
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_next_fast_len_is_smallest_11_smooth():
+    for target in range(1, 4097):
+        got = _next_fast_len(target)
+        assert got >= target and _is_11_smooth(got)
+        assert not any(_is_11_smooth(n) for n in range(target, got))
+
+
+@pytest.mark.parametrize("target, expect", [
+    (1, 1), (13, 14), (97, 98), (101, 105), (322, 324), (326, 330),
+    (401, 405), (1021, 1024), (2053, 2058),
+])
+def test_next_fast_len_values(target, expect):
+    assert _next_fast_len(target) == expect
+
+
+@pytest.mark.parametrize("n", [161, 163, 256])
+def test_trunc_grid_uses_next_fast_len(n):
+    assert _trunc_constants(n).m == _next_fast_len(2 * n)
 
 
 def test_dealiased_grid_size_floor():
