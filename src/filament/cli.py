@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 import time
@@ -349,10 +350,23 @@ def _verify_rows(seed: int):
     e2_scan = stationary_scan(make_psi_k(2, 1, 4))
     yield ("non-stationary e_2 sigma=1 (rhs norm 2)", abs(e2_scan.rhs_norm - 2.0), 1e-12)
 
+    config = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.2, sample_every=200)
+    a2 = simulate(make_psi_k(2, 0, 4), config).final_state.coeffs[1]
+    yield ("rk4 psi_2 phase t=0.2 sigma=0", float(abs(a2 - np.exp(4j * 0.2))), 1e-9)
+
+    # M = P = 2 pi forces all weight onto mode 1, where E_1 vanishes
+    result = minimize_energy(
+        1, 8,
+        ConstraintTarget(mass_target=2.0 * np.pi, momentum_target=2.0 * np.pi),
+        opts=MinimizeOptions(seed=seed, n_starts=1),
+    )
+    yield ("minimizer zero energy sigma=1 M=P=2pi", abs(result.energy), 1e-10)
+
 
 def cmd_verify(args) -> int:
-    with _Writer(args.out, "verify") as writer:
-        writer.header("verify", {"seed": args.seed})
+    # also run as ``selftest``: the stream is named after the command typed
+    with _Writer(args.out, args.subcommand) as writer:
+        writer.header(args.subcommand, {"seed": args.seed})
         failures = 0
         count = 0
         for name, measured, tol in _verify_rows(args.seed):
@@ -473,47 +487,44 @@ def cmd_bench(args) -> int:
         return EXIT_OK if worst <= 1e-11 else EXIT_NUMERICAL
 
 
-def cmd_selftest(args) -> int:
-    with _Writer(args.out, "selftest") as writer:
-        writer.header("selftest", {"seed": args.seed})
-        failures = 0
-
-        def check(name, measured, tol):
-            nonlocal failures
-            ok = measured <= tol
-            failures += 0 if ok else 1
-            writer.emit({"record": "check", "name": name, "measured": float(measured),
-                         "tolerance": tol, "pass": bool(ok)})
-
-        check("kernel m=3", abs(kernel_integral(3, 1024) - 6.0 * np.pi), 1e-8)
-        state = seeded_state(0, 16, args.seed)
-        ref = c_sigma_direct(state).coeffs_full
-        check("route fast", float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref))), 1e-12)
-        check("energy lambda", abs(energy_lambda_form(state) - energy_spectral(state)), 1e-12)
-
-        config = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.2, sample_every=200)
-        traj = simulate(make_psi_k(2, 0, 4), config)
-        a2 = traj.final_state.coeffs[1]
-        check("psi_2 phase", abs(a2 - np.exp(4j * 0.2)), 1e-9)
-
-        result = minimize_energy(
-            1, 8,
-            ConstraintTarget(mass_target=2.0 * np.pi, momentum_target=2.0 * np.pi),
-            opts=MinimizeOptions(seed=args.seed, n_starts=1),
-        )
-        check("minimizer zero energy", abs(result.energy), 1e-10)
-
-        writer.emit({"record": "summary", "failures": failures})
-        return EXIT_OK if failures == 0 else EXIT_NUMERICAL
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line, so that ``main``
+    reports it as a JSON validation error instead of argparse's usage text."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+def _finite_float(text: str) -> float:
+    """Type of every float flag: inf and nan stop here, before they reach a
+    configuration or a stream header."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """Type of every count flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
 
 def _add_common(p, n_modes_default=32):
     p.add_argument("--sigma", type=int, choices=(0, 1), default=0,
                    help="0: planar interface case, 1: spherical case")
-    p.add_argument("--n-modes", type=int, default=n_modes_default,
+    p.add_argument("--n-modes", type=_positive_int, default=n_modes_default,
                    help="Galerkin cutoff N")
     p.add_argument("--seed", type=int, default=0, help="seed for random initial data")
     p.add_argument("--out", type=str, default=None,
@@ -521,7 +532,7 @@ def _add_common(p, n_modes_default=32):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="filament",
         description="Spectral Galerkin toolkit for the filamentation equation",
     )
@@ -531,70 +542,64 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--init", type=str, default="random",
                    help="psi_k:<k> | two_mode:<A>:<B>:<k> | random | zero | file:<path>")
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--t-end", type=float, default=1.0)
+    p.add_argument("--dt", type=_finite_float, default=1e-3)
+    p.add_argument("--t-end", type=_finite_float, default=1.0)
     p.add_argument("--scheme", choices=("rk4", "midpoint"), default="rk4")
-    p.add_argument("--sample-every", type=int, default=100)
-    p.add_argument("--hs", type=float, nargs="*", default=[],
+    p.add_argument("--sample-every", type=_positive_int, default=100)
+    p.add_argument("--hs", type=_finite_float, nargs="*", default=[],
                    help="Sobolev exponents to report along the run")
     p.add_argument("--snapshots", type=str, default=None,
                    help="directory for full state snapshots at each sample")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the identity and cross-route battery")
+    p = sub.add_parser("verify", aliases=["selftest"],
+                       help="run the identity and cross-route battery")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minimize", help="constrained energy minimization")
     _add_common(p)
-    p.add_argument("--mass-target", type=float, required=True)
-    p.add_argument("--momentum-target", type=float, required=True)
+    p.add_argument("--mass-target", type=_finite_float, required=True)
+    p.add_argument("--momentum-target", type=_finite_float, required=True)
     p.add_argument("--constraint-mode", choices=("both", "mass_only", "momentum_only"),
                    default="both")
     p.add_argument("--init", type=str, default=None,
                    help="optional starting state (same forms as simulate)")
-    p.add_argument("--tol", type=float, default=1e-8, help="projected-gradient tolerance")
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--n-starts", type=int, default=3)
+    p.add_argument("--tol", type=_finite_float, default=1e-8, help="projected-gradient tolerance")
+    p.add_argument("--max-iter", type=_positive_int, default=2000)
+    p.add_argument("--n-starts", type=_positive_int, default=3)
     p.set_defaults(func=cmd_minimize)
 
     p = sub.add_parser("wave-residual", help="traveling-wave profile residual")
     _add_common(p, n_modes_default=8)
     p.add_argument("--init", type=str, required=True)
-    p.add_argument("--speed", type=float, default=0.0, help="wave speed c")
-    p.add_argument("--omega", type=float, default=0.0, help="phase rate")
+    p.add_argument("--speed", type=_finite_float, default=0.0, help="wave speed c")
+    p.add_argument("--omega", type=_finite_float, default=0.0, help="phase rate")
     p.set_defaults(func=cmd_wave_residual)
 
     p = sub.add_parser("invariants", help="invariant report for one state")
     _add_common(p)
     p.add_argument("--init", type=str, default="random")
-    p.add_argument("--n-quad", type=int, default=1024)
-    p.add_argument("--hs", type=float, nargs="*", default=[0.5, 1.0, 1.5])
+    p.add_argument("--n-quad", type=_positive_int, default=1024)
+    p.add_argument("--hs", type=_finite_float, nargs="*", default=[0.5, 1.0, 1.5])
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes")
     _add_common(p)
     # 256 lies above _CONV_MAX_N, so the truncated kernel's FFT branch is timed too
-    p.add_argument("--sizes", type=int, nargs="*", default=[16, 32, 64, 256])
-    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--sizes", type=_positive_int, nargs="*", default=[16, 32, 64, 256])
+    p.add_argument("--repeats", type=_positive_int, default=3)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("selftest", help="fast end-to-end smoke test")
-    _add_common(p)
-    p.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on bad flags; report as validation error
-        return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit:  # --help printed its text; every parse error raises ValueError
+        return EXIT_OK
     except tuple(cls for cls, _, _ in _ERRORS) as exc:
         error_type, code = _classify(exc)
         print(json.dumps({"record": "error", "error_type": error_type, "message": str(exc)}),

@@ -69,7 +69,7 @@ _TWO_PI = 2.0 * np.pi
 
 def _energy_spectral_raw(a: np.ndarray, sigma: int) -> float:
     if sigma:
-        a = a[1:]  # E_1(a) = E_0(a_2..a_N): the shift of _c_sigma_fast_raw
+        a = a[1:]  # E_1(a) = E_0(a_2..a_N): the shift of _c_sigma_trunc_raw
     n = a.size
     pairs = np.zeros(2 * n + 1, dtype=np.complex128)  # pairs[s] = S_j(s)
     total = 0.0

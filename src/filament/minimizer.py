@@ -10,7 +10,11 @@ gradient of the energy with respect to conj(a_p) is 8 C_p, and because P
 and M are diagonal quadratic forms the metric projection onto the
 constraint set takes the closed form b_k = a_k / (1 + alpha + beta/k),
 with the two scalars pinned by a 2-d Newton iteration on the constraint
-equations.  A first-order point satisfies the stationarity condition
+equations.  The step length comes from an Armijo backtracking line search
+set by the module constants ``_STEP0`` (first step), ``_ARMIJO`` (sufficient
+decrease), ``_BACKTRACK`` (shrink factor, at most ``_MAX_BACKTRACKS`` times)
+and ``_GROW`` (growth after an accepted step).  A first-order point
+satisfies the stationarity condition
 
     (4/pi) C_p = lambda a_p / p + mu a_p,
 
@@ -46,6 +50,12 @@ __all__ = [
 
 _TWO_PI = 2.0 * np.pi
 _BOUNDARY_RTOL = 1e-12
+
+_STEP0 = 0.05
+_ARMIJO = 1e-4
+_BACKTRACK = 0.5
+_GROW = 1.3
+_MAX_BACKTRACKS = 60
 
 
 class ProjectionError(RuntimeError):
@@ -218,12 +228,6 @@ def multiplier_extraction(state: SpectralState, sigma: int | None = None):
 class MinimizeOptions:
     grad_tol: float = 1e-8
     max_iter: int = 2000
-    step0: float = 0.05
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    grow: float = 1.3
-    max_backtracks: int = 60
-    constraint_tol: float = 1e-10
     seed: int = 0
     n_starts: int = 3
 
@@ -288,7 +292,7 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
     a = _project_raw(a0, target)
     energy, cubic = _energy_and_gradient(a, sigma)
     history = [energy]
-    step = opts.step0
+    step = _STEP0
     grad_norm = np.inf
     iterations = 0
     converged = False
@@ -302,24 +306,24 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
             break
         slope = float(np.sum(np.abs(misfit) ** 2))
         accepted = False
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _project_raw(a - step * grad, target)
             except ProjectionError:
-                step *= opts.backtrack
+                step *= _BACKTRACK
                 continue
             e_trial, c_trial = _energy_and_gradient(trial, sigma)
-            if e_trial <= energy - opts.armijo * step * slope:
+            if e_trial <= energy - _ARMIJO * step * slope:
                 a, energy, cubic = trial, e_trial, c_trial
                 history.append(energy)
-                step = min(step * opts.grow, 1e3)
+                step = min(step * _GROW, 1e3)
                 accepted = True
                 break
-            step *= opts.backtrack
+            step *= _BACKTRACK
         if not accepted:
             # no descent direction left at rounding scale: treat as stationary
             stall += 1
-            step = opts.step0
+            step = _STEP0
             if stall >= 2:
                 break
     lam, mu, _, el_rel = _fit_multipliers(a, cubic)

@@ -24,12 +24,14 @@ For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
 first N entries (the sharp-cutoff Galerkin nonlinearity).
 
-The flow and the minimizer need only those first N modes.  The private
-kernel ``_c_sigma_trunc_raw`` computes just them, from the same identity:
-by exact products of coefficient sequences (O(N^2), no grid) up to
-``_CONV_MAX_N`` modes, and above that on a grid of M >= 2N - 1 points,
-where modes 1..N of the cubic product are alias-free (the full support
-would need M >= 3N - 2, hence the 4N grid of ``c_sigma_fast``).
+One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..n_out of the
+physical-space identity.  The flow and the minimizer need only modes 1..N:
+up to ``_CONV_MAX_N`` modes these come from exact products of coefficient
+sequences (O(N^2), no grid), above that from the one FFT-grid body on
+M >= 2N - 1 points, where modes 1..N of the cubic product are alias-free.
+``c_sigma_fast`` runs the same body with n_out = 2N - 1 on the 4N grid
+(the full support would need M >= 3N - 2).  Both reduce sigma = 1 to
+sigma = 0 by the same index shift.
 """
 
 from __future__ import annotations
@@ -105,41 +107,11 @@ def _c_sigma_direct_raw(a: np.ndarray, sigma: int, weight=_min_weight) -> np.nda
     return out
 
 
-def _c_zero_fast_raw(a: np.ndarray) -> np.ndarray:
-    n = a.size
-    m = dealiased_grid_size(n)
-    k = np.arange(1, n + 1)
-    u = _synthesize(a, m)
-    lam_u = _synthesize(k * a, m)
-    usq = u * np.conj(u)  # |u|^2, real up to rounding, signed spectrum in [-(N-1), N-1]
-    usq_hat = np.fft.fft(usq)
-    absfreq = np.abs(np.fft.fftfreq(m, d=1.0 / m))
-    lam_usq = np.fft.ifft(absfreq * usq_hat)
-    g = usq * lam_u - u * lam_usq
-    ghat = np.fft.fft(g) / m
-    return ghat[1 : 2 * n].copy()
-
-
-def _c_sigma_fast_raw(a: np.ndarray, sigma: int) -> np.ndarray:
-    if sigma == 0:
-        return _c_zero_fast_raw(a)
-    # min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1) on the interaction set, and
-    # any shifted index hitting 0 kills the weight, so the sigma = 1 operator
-    # is the sigma = 0 one acting on (a_2, ..., a_N) shifted down one mode.
-    # This avoids subtracting the nearly-cancelling |u|^2 u term and makes
-    # the vanishing of the mode-1 output exact.
-    n = a.size
-    out = np.zeros(2 * n - 1, dtype=np.complex128)
-    if n >= 2:
-        out[1 : 2 * n - 2] = _c_zero_fast_raw(a[1:])
-    return out
-
-
-# Crossover from the exact O(N^2) convolution to the 2N-grid FFT route of
-# ``_c_zero_trunc_raw``.  In-process best-of-15 timings of the two branches
-# (numpy 2.4 numpy.fft, 2 vCPUs) broke even at N ~ 176-188; up to there the
-# convolution is at most ~10% faster per call than the FFT.  The value stays
-# at 160, where the verify rows and tests that straddle the crossover sit.
+# Crossover from the exact O(N^2) convolution to the 2N grid of the truncated
+# kernel.  In-process best-of-15 timings of the two branches (numpy 2.4
+# numpy.fft, 2 vCPUs) broke even at N ~ 176-188; up to there the convolution
+# is at most ~10% faster per call than the FFT.  The value stays at 160,
+# where the verify rows and tests that straddle the crossover sit.
 _CONV_MAX_N = 160
 
 
@@ -160,13 +132,23 @@ def _trunc_constants(n: int) -> _TruncConstants:
     return consts
 
 
-def _c_zero_trunc_raw(a: np.ndarray) -> np.ndarray:
+def _c_zero_raw(a: np.ndarray, n_out: int) -> np.ndarray:
+    """Modes 1..n_out (N or 2N-1) of the sigma = 0 operator |u|^2 Lu - u L|u|^2.
+
+    Modes 1..N come from exact products of coefficient sequences up to
+    ``_CONV_MAX_N`` and from the 2N grid of ``_trunc_constants`` above;
+    all 2N-1 modes come from the 4N grid.  On an M-point grid the product
+    spans modes 2-N..2N-1, so modes 1..n_out are alias-free whenever
+    M >= N + n_out - 1 and M >= 2N - 1.
+    """
     n = a.size
     k, absd, absf, m, _ = _trunc_constants(n)
     ka = k * a
-    if n <= _CONV_MAX_N:
-        # exact products of coefficient sequences: c holds |u|^2 on modes
-        # 1-N..N-1, and "valid" keeps exactly the output modes 1..N
+    if n_out != n:
+        m = dealiased_grid_size(n)
+        absf = np.arange(m // 2 + 1.0)
+    elif n <= _CONV_MAX_N:
+        # c holds |u|^2 on modes 1-N..N-1, and "valid" keeps exactly modes 1..N
         c = np.correlate(a, a, "full")
         return np.convolve(c, ka, "valid") - np.convolve(absd * c, a, "valid")
     spec = np.zeros((2, m), dtype=np.complex128)
@@ -182,21 +164,30 @@ def _c_zero_trunc_raw(a: np.ndarray) -> np.ndarray:
     lam_usq = np.fft.irfft(f, m)
     lam_u *= usq
     lam_u -= u * lam_usq
-    return np.fft.fft(lam_u, norm="forward")[1 : n + 1]
+    return np.fft.fft(lam_u, norm="forward")[1 : n_out + 1]
 
 
-def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
-    """Q^N C_sigma, modes 1..N only: what the flow and the minimizer use.
+def _c_sigma_trunc_raw(a: np.ndarray, sigma: int, n_out: int | None = None) -> np.ndarray:
+    """Q^n_out C_sigma: modes 1..n_out of the operator.
 
-    Exact convolution in coefficient space up to ``_CONV_MAX_N`` modes, a
-    2N FFT grid above; sigma = 1 uses the index shift of _c_sigma_fast_raw,
-    so its mode-1 output is exactly 0.
+    The default n_out = N is what the flow and the minimizer use; n_out =
+    2N-1 is the whole support, for ``c_sigma_fast``.  min(k,l,m,p) - 1 =
+    min(k-1, l-1, m-1, p-1) on the interaction set, and any shifted index
+    hitting 0 kills the weight, so the sigma = 1 operator is the sigma = 0
+    one acting on (a_2, ..., a_N) shifted up one mode.  This avoids
+    subtracting the nearly-cancelling |u|^2 u term and makes the vanishing
+    of the mode-1 output exact.
     """
+    n = a.size
+    if n_out is None:
+        n_out = n
     if sigma == 0:
-        return _c_zero_trunc_raw(a)
-    out = np.zeros(a.size, dtype=np.complex128)
-    if a.size >= 2:
-        out[1:] = _c_zero_trunc_raw(a[1:])
+        return _c_zero_raw(a, n_out)
+    out = np.zeros(n_out, dtype=np.complex128)
+    if n >= 2:
+        # the same output for bandwidth N - 1: its truncation or its full support
+        inner = n - 1 if n_out == n else 2 * n - 3
+        out[1 : inner + 1] = _c_zero_raw(a[1:], inner)
     return out
 
 
@@ -223,15 +214,17 @@ def c_sigma_unsym(state: SpectralState) -> NonlinearityResult:
 
 def c_sigma_fast(state: SpectralState) -> NonlinearityResult:
     """FFT route via |u|^2 Lu - u L|u|^2 on a 4N grid (L with symbol |k|
-    on the full signed spectrum of |u|^2).
+    on the full signed spectrum of |u|^2): ``_c_sigma_trunc_raw`` with all
+    2N-1 output modes.
 
     The sigma = 1 case is reduced to sigma = 0 by the exact index shift
     min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1), which sidesteps the
     nearly-cancelling |u|^2 u subtraction.  Cost O(N log N); exact up to
     rounding thanks to the de-aliasing margin.
     """
+    n = state.n_modes
     return NonlinearityResult(
-        state.sigma, state.n_modes, _c_sigma_fast_raw(state.coeffs, state.sigma)
+        state.sigma, n, _c_sigma_trunc_raw(state.coeffs, state.sigma, 2 * n - 1)
     )
 
 

@@ -209,6 +209,8 @@ def seeded_state(
     oracle in the package converges fast; ``amplitude`` is the l2 norm of
     the coefficient vector after scaling.
     """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     rng = np.random.default_rng(seed)
     k = np.arange(1, n_modes + 1, dtype=float)
     raw = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k**decay

@@ -38,6 +38,10 @@ __all__ = [
     "two_mode_phase_fit",
 ]
 
+_STATIONARY_TOL = 1e-10  # stationary_scan: largest off-catalogue amplitude
+_SHIFT_GRID = 1024  # orbit_distance: shift nodes scanned before refinement
+_REFINE_ITERS = 40  # orbit_distance: golden-section refinement steps
+
 
 @dataclass(frozen=True)
 class TravelingWaveSpec:
@@ -69,12 +73,7 @@ def make_two_mode(amp_1: complex, amp_k: complex, k: int, n_modes: int) -> Spect
     return SpectralState(1, coeffs)
 
 
-def wave_residual(
-    profile: SpectralState,
-    speed: float,
-    phase_rate: float,
-    sigma: int | None = None,
-) -> TravelingWaveSpec:
+def wave_residual(profile: SpectralState, speed: float, phase_rate: float) -> TravelingWaveSpec:
     """Residual of -c F + w Linv F = C_sigma[F] in the P-norm.
 
     Evaluated on the full support (modes 1..2N-1) of the cubic term, so a
@@ -82,8 +81,6 @@ def wave_residual(
     would discard also vanishes.  Also reports the defect of the scalar
     pairing identity -c P + w M = (pi/2) E_sigma.
     """
-    if sigma is not None and sigma != profile.sigma:
-        profile = SpectralState(sigma, profile.coeffs)
     a = profile.coeffs
     n = profile.n_modes
     cubic = _c_sigma_direct_raw(a, profile.sigma)
@@ -106,23 +103,21 @@ class StationaryScan:
     description: str
 
 
-def stationary_scan(state: SpectralState, sigma: int | None = None, tol: float = 1e-10) -> StationaryScan:
+def stationary_scan(state: SpectralState) -> StationaryScan:
     """Classify a state against the stationary-solution catalogue.
 
     Returns the plain l2 norm of the coefficient ODE right-hand side and
     whether the state matches a stationary solution: the zero state when
     sigma = 0, any multiple of e^{ix} when sigma = 1.
     """
-    if sigma is not None and sigma != state.sigma:
-        state = SpectralState(sigma, state.coeffs)
     rhs_norm = float(np.linalg.norm(rhs(state).coeffs))
     scale = float(np.max(np.abs(state.coeffs), initial=0.0))
     tail = float(np.max(np.abs(state.coeffs[1:]), initial=0.0))
     if state.sigma == 0:
-        stationary = scale <= tol
+        stationary = scale <= _STATIONARY_TOL
         description = "zero state" if stationary else "not stationary (sigma=0 admits only zero)"
     else:
-        stationary = tail <= tol * max(1.0, scale)
+        stationary = tail <= _STATIONARY_TOL * max(1.0, scale)
         description = (
             "multiple of e^{ix}" if stationary
             else "not stationary (sigma=1 admits only multiples of e^{ix})"
@@ -130,12 +125,7 @@ def stationary_scan(state: SpectralState, sigma: int | None = None, tol: float =
     return StationaryScan(rhs_norm, stationary, description)
 
 
-def orbit_distance(
-    state: SpectralState,
-    reference: SpectralState,
-    n_shift_grid: int = 1024,
-    refine_iters: int = 40,
-) -> float:
+def orbit_distance(state: SpectralState, reference: SpectralState) -> float:
     """P-distance from ``state`` to the symmetry orbit of ``reference``.
 
     The orbit is {e^{i theta} reference(. + x0)}.  For fixed x0 the optimal
@@ -152,16 +142,16 @@ def orbit_distance(
     def overlap(x0):
         return np.abs(np.sum(prod * np.exp(-1j * modes * x0)))
 
-    grid = np.arange(n_shift_grid) * (2.0 * np.pi / n_shift_grid)
+    grid = np.arange(_SHIFT_GRID) * (2.0 * np.pi / _SHIFT_GRID)
     vals = np.abs(np.exp(-1j * np.outer(grid, modes)) @ prod)
     best = int(np.argmax(vals))
-    lo = grid[best] - 2.0 * np.pi / n_shift_grid
-    hi = grid[best] + 2.0 * np.pi / n_shift_grid
+    lo = grid[best] - 2.0 * np.pi / _SHIFT_GRID
+    hi = grid[best] + 2.0 * np.pi / _SHIFT_GRID
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
     f1, f2 = overlap(x1), overlap(x2)
-    for _ in range(refine_iters):
+    for _ in range(_REFINE_ITERS):
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filament.cli import main, OUT_DIR_ENV
+from filament.cli import build_parser, main, OUT_DIR_ENV
 from filament.spectral import seeded_state, state_to_dict
 
 
@@ -341,3 +341,77 @@ def test_module_entry_point():
     lines = [json.loads(l) for l in proc.stdout.splitlines() if l.strip()]
     rec = [r for r in lines if r.get("record") == "invariants"][0]
     assert rec["energy_spectral"] == pytest.approx(0.0, abs=1e-12)
+
+
+def _stderr_error(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--dt", "nan"], "--dt"),
+    (["simulate", "--t-end", "inf"], "--t-end"),
+    (["simulate", "--hs", "1", "inf"], "--hs"),
+    (["minimize", "--mass-target", "inf", "--momentum-target", "1"], "--mass-target"),
+    (["minimize", "--mass-target", "1", "--momentum-target", "inf"], "--momentum-target"),
+    (["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol=-inf"], "--tol"),
+    (["wave-residual", "--init", "psi_k:1", "--speed", "inf"], "--speed"),
+    (["wave-residual", "--init", "psi_k:1", "--omega", "nan"], "--omega"),
+    (["invariants", "--hs", "inf"], "--hs"),
+])
+def test_non_finite_float_flags_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()  # rejected before any stream or header
+    err = _stderr_error(capsys)
+    assert err["record"] == "error" and err["error_type"] == "validation"
+    assert flag in err["message"] and "finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "abc"],
+    ["simulate", "--bogus"],
+])
+def test_parse_errors_are_json(capsys, argv):
+    assert main(argv) == 1
+    err = _stderr_error(capsys)
+    assert err["record"] == "error" and err["error_type"] == "validation"
+    assert argv[-1] in err["message"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["bench", "--repeats", "0"], "--repeats"),
+    (["minimize", "--mass-target", "1", "--momentum-target", "2", "--max-iter", "0"], "--max-iter"),
+    (["simulate", "--n-modes", "0"], "--n-modes"),
+    (["invariants", "--n-modes", "-3"], "--n-modes"),
+])
+def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag):
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and flag in err["message"]
+
+
+def test_selftest_is_verify(tmp_path):
+    streams = {}
+    for name in ("verify", "selftest"):
+        out = tmp_path / f"{name}.jsonl"
+        assert main([name, "--out", str(out)]) == 0
+        records = read_records(out)
+        assert records[0]["subcommand"] == name
+        streams[name] = [c["name"] for c in by_kind(records, "check")]
+    assert streams["selftest"] == streams["verify"]
+    assert "rk4 psi_2 phase t=0.2 sigma=0" in streams["verify"]
+    assert "minimizer zero energy sigma=1 M=P=2pi" in streams["verify"]
+
+
+def test_readme_command_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split("#", 1)[0].split() for line in block.splitlines()
+                if line.startswith("filament ")]
+    assert len(commands) >= 8
+    for words in commands:
+        build_parser().parse_args(words[1:])  # raises on a renamed command or flag

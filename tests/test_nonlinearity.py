@@ -73,6 +73,18 @@ def test_route_equivalence_at_scale(sigma):
         assert np.max(np.abs(c_sigma_fast(st).coeffs_full - ref)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 161, 200])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_fast_route_matches_direct_on_seeded_states(n, sigma):
+    for seed in range(3):
+        st = seeded_state(sigma, n, seed)
+        ref = c_sigma_direct(st).coeffs_full
+        got = c_sigma_fast(st).coeffs_full
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(np.max(np.abs(ref)), 1e-300)
+        if sigma == 1:
+            assert got[0] == 0.0
+
+
 # both branches of the truncated kernel, for each sigma: sigma = 1 runs the
 # sigma = 0 kernel on N - 1 modes, hence crossover + 2
 TRUNC_SIZES = [1, 2, 3, 17, _CONV_MAX_N, _CONV_MAX_N + 1, _CONV_MAX_N + 2, 128, 200]

@@ -183,6 +183,12 @@ def test_dealiased_grid_size_floor():
     assert dealiased_grid_size(1) >= 4
 
 
+@pytest.mark.parametrize("n_modes", [0, -2])
+def test_seeded_state_rejects_non_positive_size(n_modes):
+    with pytest.raises(ValueError, match="n_modes"):
+        seeded_state(0, n_modes, 1)
+
+
 def test_snapshot_round_trip(tmp_path):
     st = seeded_state(1, 9, 3)
     path = tmp_path / "state.json"
