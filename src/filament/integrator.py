@@ -12,7 +12,8 @@ steppers are provided: classical explicit RK4 and the implicit midpoint
 rule (solved by plain fixed-point iteration; the right-hand side is cubic
 and cheap, so Newton is unnecessary at desk scale).  The midpoint rule
 conserves the quadratic invariants P and M to the fixed-point tolerance
-per step, which makes it the choice for long-horizon conservation runs.
+per step (not the quartic E, which drifts by O(dt^2)), which makes it the
+choice for long-horizon runs that must keep P and M.
 
 Diagnostics along a trajectory take the energy from the pairing identity
 E = 4 Re <a, Q^N C_sigma a> on the same truncated kernel; it is exact (it
@@ -28,7 +29,7 @@ import numpy as np
 
 from .spectral import SpectralState, p_norm
 from .nonlinearity import _c_sigma_trunc_raw, _trunc_constants
-from .invariants import invariant_report
+from .invariants import InvariantReport, invariant_report
 
 __all__ = [
     "StepperConfig",
@@ -36,12 +37,14 @@ __all__ = [
     "StepFailure",
     "rhs",
     "step",
+    "sample_record",
     "simulate",
     "time_reversal_check",
     "scaling_check",
 ]
 
 _SCHEMES = ("rk4", "implicit_midpoint")
+_MAX_STEPS = 10**9  # about 17 h at 60 us per step
 
 
 class StepFailure(RuntimeError):
@@ -82,9 +85,14 @@ class StepperConfig:
             raise ValueError("midpoint_tol must be at least 1e-15")
         if self.midpoint_max_iter < 1:
             raise ValueError("midpoint_max_iter must be a positive integer")
+        self.n_steps()
 
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
+        """ValueError unless t_end is a whole number of steps of dt, at most _MAX_STEPS."""
+        ratio = self.t_end / self.dt
+        if not ratio <= _MAX_STEPS:
+            raise ValueError(f"t_end / dt = {ratio:g} steps exceeds the limit of {_MAX_STEPS}")
+        steps = int(round(ratio))
         if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"
@@ -117,13 +125,19 @@ class Trajectory:
         return self.states[-1]
 
     def records(self) -> list:
-        """One flat dict per sample: time plus the invariant report fields."""
-        out = []
-        for t, rep in zip(self.times, self.reports):
-            rec = {"t": float(t)}
-            rec.update(rep.to_record())
-            out.append(rec)
-        return out
+        """One flat dict per sample: the fields of ``sample_record``."""
+        return [sample_record(float(t), rep) for t, rep in zip(self.times, self.reports)]
+
+
+def sample_record(t: float, report: InvariantReport) -> dict:
+    """The fields of one sample; StepFailure names any that are not finite
+    (finite coefficients can still overflow the quartic E or an H^s norm)."""
+    rec = {"t": t, **report.to_record()}
+    overflowed = [key for key, value in rec.items()
+                  if isinstance(value, float) and not np.isfinite(value)]
+    if overflowed:
+        raise StepFailure(t, 0, np.inf, f"{', '.join(overflowed)} overflowed at t = {t:g}")
+    return rec
 
 
 def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
@@ -182,7 +196,8 @@ def step(state: SpectralState, config: StepperConfig, t: float = 0.0) -> Spectra
 def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Trajectory:
     """Integrate to t_end, sampling diagnostics every ``sample_every`` steps.
 
-    The initial and final states are always included in the samples.
+    The initial and final states are always included in the samples.  A
+    non-finite step or sample ends the run with ``StepFailure``.
     """
     n_steps = config.n_steps()
     a = np.array(state.coeffs)
@@ -190,6 +205,7 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     times = [0.0]
     states = [state]
     reports = [invariant_report(state, h_s)]
+    sample_record(0.0, reports[0])
     for i in range(1, n_steps + 1):
         a = _advance(a, state.sigma, config, (i - 1) * config.dt)
         if i % config.sample_every == 0 or i == n_steps:
@@ -197,6 +213,7 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
             times.append(i * config.dt)
             states.append(snap)
             reports.append(invariant_report(snap, h_s))
+            sample_record(times[-1], reports[-1])
     return Trajectory(np.array(times), states, reports)
 
 

@@ -20,7 +20,9 @@ E_1(a) = E_0(a_2..a_N); the others are an FFT evaluation of the integral
 and a 2-d midpoint quadrature of the Gagliardo double integral
 
     (1/4pi^2) iint |u(x)-u(y)|^4 / (1 - cos(x-y)) dx dy
-    - (2 sigma/pi) int |u|^4 dx.
+    - (2 sigma/pi) int |u|^4 dx,
+
+on ``nonlinearity._midpoint_differences``, the one singular-integral rule.
 
 The quadratic invariants are the momentum P = 2pi sum |a_k|^2 (the L^2
 mass) and the 1/k-weighted mass M = 2pi sum |a_k|^2 / k.  This fixes
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralState, dealiased_grid_size, _synthesize
-from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _shifted_samples
+from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _midpoint_differences
 
 __all__ = [
     "InvariantReport",
@@ -117,25 +119,13 @@ def energy_lambda_form(state: SpectralState) -> float:
 
 
 def energy_quadrature(state: SpectralState, n_quad: int) -> float:
-    """Quadrature energy route: 2-d midpoint rule on the Gagliardo integral.
-
-    The z = x - y grid is shifted off the diagonal; the x grid is plain.
-    """
-    n = state.n_modes
-    if n_quad < 8 * n:
-        raise ValueError(f"n_quad must be at least 8*n_modes = {8 * n}, got {n_quad}")
-    a = state.coeffs
-    mx = dealiased_grid_size(n)
-    u = _synthesize(a, mx)
-    z = (np.arange(n_quad) + 0.5) * (_TWO_PI / n_quad)
-    kern = 1.0 / (1.0 - np.cos(z))
+    """Quadrature energy route: 2-d midpoint rule on the Gagliardo integral
+    (``_midpoint_differences`` in z = x - y, a plain x grid)."""
+    u, chunks = _midpoint_differences(state, n_quad)
     gagliardo = 0.0
-    chunk = max(1, (1 << 20) // mx)  # bound the (z, x) work arrays to ~16 MB each
-    for lo in range(0, n_quad, chunk):
-        ushift = _shifted_samples(a, z[lo : lo + chunk], mx)
-        d4 = np.abs(u[None, :] - ushift) ** 4
-        gagliardo += float(d4.sum(axis=1) @ kern[lo : lo + chunk])
-    energy = gagliardo / (mx * n_quad)           # (1/4pi^2)(2pi/mx)(2pi/n_quad) sum
+    for d, kern in chunks:
+        gagliardo += float((np.abs(d) ** 4).sum(axis=1) @ kern)
+    energy = gagliardo / (u.size * n_quad)       # (1/4pi^2)(2pi/mx)(2pi/n_quad) sum
     energy -= 4.0 * state.sigma * np.mean(np.abs(u) ** 4)
     return float(energy)
 

@@ -56,6 +56,7 @@ _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _GROW = 1.3
 _MAX_BACKTRACKS = 60
+_PROJECT_MAX_ITER = 100  # Newton steps of the two-constraint projection
 
 
 class ProjectionError(RuntimeError):
@@ -105,9 +106,9 @@ def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarr
     return out
 
 
-def _project_raw(a: np.ndarray, target: ConstraintTarget, max_iter: int = 100) -> np.ndarray:
+def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
+    """``project_to_constraints`` on raw coefficients, for a validated target."""
     n = a.size
-    target.validate_for(n)
     power = np.abs(a) ** 2
     total = float(power.sum())
     if total == 0.0:
@@ -137,16 +138,15 @@ def _project_raw(a: np.ndarray, target: ConstraintTarget, max_iter: int = 100) -
     alpha, beta = 0.0, 0.0
     denom, gp, gm = constraints(alpha, beta)
     res = np.hypot(gp / p_goal, gm / m_goal)
-    for _ in range(max_iter):
+    for _ in range(_PROJECT_MAX_ITER):
         if res <= 1e-13:
             break
         bsq = power / denom**2
         # d/dalpha |b_k|^2 = -2|b_k|^2/denom; d/dbeta adds a 1/k factor
         j00 = float((-2.0 * bsq / denom).sum())
-        j01 = float((-2.0 * bsq / (denom * k)).sum())
-        j10 = float((-2.0 * bsq / (denom * k)).sum())
+        j01 = float((-2.0 * bsq / (denom * k)).sum())  # = j10
         j11 = float((-2.0 * bsq / (denom * k**2)).sum())
-        jac = np.array([[j00, j01], [j10, j11]])
+        jac = np.array([[j00, j01], [j01, j11]])
         try:
             step = np.linalg.solve(jac, -np.array([gp, gm]))
         except np.linalg.LinAlgError as exc:
@@ -176,6 +176,7 @@ def project_to_constraints(state: SpectralState, target: ConstraintTarget) -> Sp
     solves the metric-projection stationarity conditions; single-constraint
     modes reduce to a pure rescaling.
     """
+    target.validate_for(state.n_modes)
     return state.with_coeffs(_project_raw(np.array(state.coeffs), target))
 
 
@@ -217,10 +218,7 @@ def multiplier_extraction(state: SpectralState, sigma: int | None = None):
     if sigma is not None and sigma != state.sigma:
         state = SpectralState(sigma, state.coeffs)
     a = state.coeffs
-    if not np.any(np.abs(a) > 0.0):
-        raise ValueError("multiplier extraction needs a non-zero state")
-    cubic = _c_sigma_trunc_raw(a, state.sigma)
-    lam, mu, _, rel = _fit_multipliers(a, cubic)
+    lam, mu, _, rel = _fit_multipliers(a, _c_sigma_trunc_raw(a, state.sigma))
     return lam, mu, rel
 
 
@@ -278,11 +276,8 @@ def _gauge_fix(a: np.ndarray) -> np.ndarray:
     return a * np.exp(-1j * np.angle(pivot))
 
 
-def _violation(a: np.ndarray, target: ConstraintTarget) -> tuple:
-    k = np.arange(1, a.size + 1, dtype=float)
-    power = np.abs(a) ** 2
-    p_val = _TWO_PI * float(power.sum())
-    m_val = _TWO_PI * float((power / k).sum())
+def _violation(state: SpectralState, target: ConstraintTarget) -> tuple:
+    m_val, p_val = mass(state), momentum(state)
     vm = abs(m_val - target.mass_target) / target.mass_target if target.mode in ("both", "mass_only") else 0.0
     vp = abs(p_val - target.momentum_target) / target.momentum_target if target.mode in ("both", "momentum_only") else 0.0
     return (vm, vp)
@@ -334,7 +329,7 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
         lam=lam,
         mu=mu,
         el_residual=el_rel,
-        constraint_violation=_violation(a, target),
+        constraint_violation=_violation(state, target),
         energy=energy_spectral(state),
         iterations=iterations,
         grad_norm=grad_norm,

@@ -17,8 +17,10 @@ with P+ the positive-frequency projector.  The singular-integral form
                         - sigma |u(x)|^2 u(x) ],   du = u(x) - u(y),
 
 is also provided, discretized by a midpoint rule in z = x - y that never
-touches the removable singularity at z = 0.  The four routes agree to
-rounding for band-limited states; the direct triple sum is the reference.
+touches the removable singularity at z = 0: ``_midpoint_differences``, which
+the quadrature energy of ``filament.invariants`` shares.  The four routes
+agree to rounding for band-limited states; the direct triple sum is the
+reference.
 
 For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
@@ -228,52 +230,55 @@ def c_sigma_fast(state: SpectralState) -> NonlinearityResult:
     )
 
 
-def _shifted_samples(a: np.ndarray, z: np.ndarray, grid_size: int) -> np.ndarray:
-    """Rows j hold the samples of x -> u(x - z_j) on the M-point x grid."""
-    n = a.size
-    k = np.arange(1, n + 1)
-    shifted = a[None, :] * np.exp(-1j * np.outer(z, k))
-    spectra = np.zeros((z.size, grid_size), dtype=np.complex128)
-    spectra[:, 1 : n + 1] = shifted
-    return np.fft.ifft(spectra, axis=1) * grid_size
+def _midpoint_nodes(n_quad: int) -> np.ndarray:
+    """z_j = (j + 1/2) * 2*pi/n_quad, off z = 0, where the singular integrands
+    extend by 0 (numerators vanish at least cubically, 1 - cos z quadratically)."""
+    return (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
 
 
-def c_sigma_quadrature(state: SpectralState, n_quad: int) -> NonlinearityResult:
-    """Direct quadrature of the singular-integral form.
-
-    Midpoint nodes z_j = (j + 1/2) * 2*pi/n_quad in z = x - y avoid the
-    diagonal, where the integrand extends continuously by 0 (the numerator
-    vanishes cubically, the denominator only quadratically).
-    """
+def _midpoint_differences(state: SpectralState, n_quad: int):
+    """The one discretization of the singular integrals: u on the 4N grid and
+    chunks (du, w) of the midpoint nodes, du[j, x] = u(x) - u(x - z_j) and
+    w[j] = 1/(1 - cos z_j), each (z, x) work array bounded to ~16 MB."""
     n = state.n_modes
     if n_quad < 8 * n:
         raise ValueError(f"n_quad must be at least 8*n_modes = {8 * n}, got {n_quad}")
     a = state.coeffs
-    mx = dealiased_grid_size(n)
-    u = _synthesize(a, mx)
-    z = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+    u = _synthesize(a, dealiased_grid_size(n))
+    z = _midpoint_nodes(n_quad)
     kern = 1.0 / (1.0 - np.cos(z))
-    acc = np.zeros(mx, dtype=np.complex128)
-    chunk = max(1, (1 << 20) // mx)  # bound the (z, x) work arrays to ~16 MB each
-    for lo in range(0, n_quad, chunk):
-        zs = z[lo : lo + chunk]
-        ushift = _shifted_samples(a, zs, mx)
-        d = u[None, :] - ushift
-        acc += np.einsum("jx,j->x", np.abs(d) ** 2 * d, kern[lo : lo + chunk])
+    chunk = max(1, (1 << 20) // u.size)
+
+    def chunks():
+        for lo in range(0, n_quad, chunk):
+            shifted = _synthesize(a * np.exp(-1j * np.outer(z[lo : lo + chunk], state.modes)), u.size)
+            yield u - shifted, kern[lo : lo + chunk]
+
+    return u, chunks()
+
+
+def c_sigma_quadrature(state: SpectralState, n_quad: int) -> NonlinearityResult:
+    """Direct quadrature of the singular-integral form on the midpoint
+    nodes of :func:`_midpoint_differences`."""
+    n = state.n_modes
+    u, chunks = _midpoint_differences(state, n_quad)
+    acc = np.zeros(u.size, dtype=np.complex128)
+    for d, kern in chunks:
+        acc += np.einsum("jx,j->x", np.abs(d) ** 2 * d, kern)
     integral = acc / (2.0 * n_quad)  # (1/4pi) * (2pi/n_quad) * sum_j
     g = integral - state.sigma * np.abs(u) ** 2 * u
-    ghat = np.fft.fft(g) / mx
-    return NonlinearityResult(state.sigma, n, ghat[1 : 2 * n].copy())
+    ghat = np.fft.fft(g) / u.size
+    return NonlinearityResult(state.sigma, n, ghat[1 : 2 * n])
 
 
 def kernel_integral(m: int, n_quad: int) -> float:
     """Midpoint-rule value of int_0^{2pi} (1 - cos(m z)) / (1 - cos z) dz.
 
     The exact value is 2*pi*|m|; this validates the quadrature scheme used
-    by :func:`c_sigma_quadrature` on the same kernel.
+    by :func:`c_sigma_quadrature` on the same kernel and nodes.
     """
     if n_quad < 64:
         raise ValueError(f"n_quad must be at least 64, got {n_quad}")
-    z = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+    z = _midpoint_nodes(n_quad)
     vals = (1.0 - np.cos(m * z)) / (1.0 - np.cos(z))
     return float(vals.sum() * 2.0 * np.pi / n_quad)

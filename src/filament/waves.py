@@ -15,7 +15,7 @@ drifting at k(k-1)|B|^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,9 +161,7 @@ def orbit_distance(state: SpectralState, reference: SpectralState) -> float:
             x1 = hi - inv_phi * (hi - lo)
             f1 = overlap(x1)
     best_overlap = max(vals[best], f1, f2)
-    pa = 2.0 * np.pi * float(np.sum(np.abs(a) ** 2))
-    pr = 2.0 * np.pi * float(np.sum(np.abs(r) ** 2))
-    dist_sq = pa + pr - 2.0 * (2.0 * np.pi) * float(best_overlap)
+    dist_sq = momentum(state) + momentum(reference) - 2.0 * (2.0 * np.pi) * float(best_overlap)
     return float(np.sqrt(max(dist_sq, 0.0)))
 
 
@@ -230,13 +228,7 @@ class TwoModePhaseReport:
     amp_k_drift: float
 
     def to_record(self) -> dict:
-        return {
-            "measured_rate": self.measured_rate,
-            "rate_mode_k_only": self.rate_mode_k_only,
-            "rate_with_cross_terms": self.rate_with_cross_terms,
-            "amp_1_drift": self.amp_1_drift,
-            "amp_k_drift": self.amp_k_drift,
-        }
+        return asdict(self)
 
 
 def two_mode_phase_report(

@@ -415,3 +415,69 @@ def test_readme_command_block_parses():
     assert len(commands) >= 8
     for words in commands:
         build_parser().parse_args(words[1:])  # raises on a renamed command or flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-modes", "4", "--dt", "1e-300", "--t-end", "1"],  # 1e300 steps
+    ["simulate", "--dt", "0.3", "--t-end", "1"],  # not an integer number of steps
+])
+def test_malformed_step_grid_rejected_before_header(capsys, monkeypatch, argv):
+    from filament import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run must not start")
+
+    monkeypatch.setattr(cli, "step", forbidden)
+    monkeypatch.setattr(cli, "invariant_report", forbidden)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err.strip())
+    assert err["error_type"] == "validation"
+
+
+def test_bench_needs_a_size(tmp_path, capsys):
+    out = tmp_path / "bench.jsonl"
+    assert main(["bench", "--sizes", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "--sizes" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "--sigma", "1"], ["bench", "--n-modes", "8"]])
+def test_unread_state_flags_rejected(tmp_path, capsys, argv):
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and argv[1] in err["message"]
+
+
+def test_trajectory_records_match_cli_samples(tmp_path):
+    from filament.integrator import StepperConfig, simulate
+
+    out = tmp_path / "run.jsonl"
+    assert main(["simulate", "--sigma", "1", "--n-modes", "6", "--seed", "3", "--dt", "1e-3",
+                 "--t-end", "0.01", "--sample-every", "3", "--hs", "1", "2.5",
+                 "--out", str(out)]) == 0
+    samples = [{k: v for k, v in r.items() if k != "record"}
+               for r in by_kind(read_records(out), "sample")]
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.01, sample_every=3)
+    assert simulate(seeded_state(1, 6, 3), cfg, h_s=(1.0, 2.5)).records() == samples
+
+
+def test_benchmark_trace_points_still_see_the_run(tmp_path, monkeypatch):
+    # perfbench/run.py traces `simulate` by patching names in filament.cli
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import run
+
+    run.load_package()
+    tracer = run.Tracer()
+    with tracer.patched():
+        assert main(["simulate", "--n-modes", "4", "--dt", "1e-3", "--t-end", "4e-3",
+                     "--sample-every", "2", "--snapshots", str(tmp_path / "snaps"),
+                     "--out", str(tmp_path / "run.jsonl")]) == 0
+    counts = {}
+    for span in tracer.spans:
+        counts[span["name"]] = counts.get(span["name"], 0) + 1
+    assert counts == {"step": 4, "invariant_report": 3, "write_snapshot": 3}

@@ -5,6 +5,7 @@ from filament.spectral import SpectralState, seeded_state
 from filament.integrator import (
     StepperConfig,
     StepFailure,
+    _MAX_STEPS,
     rhs,
     step,
     simulate,
@@ -135,6 +136,27 @@ def test_midpoint_non_convergence_reports_diagnostics():
     # divergence: the last residual is either positive or has overflowed
     assert info.value.residual > 0.0 or not np.isfinite(info.value.residual)
     assert info.value.t == 0.0
+
+
+def test_config_rejects_fractional_step_count():
+    # rejected when the configuration is made, before any run can start
+    with pytest.raises(ValueError, match="integer number of steps"):
+        StepperConfig(dt=0.3, t_end=1.0)
+
+
+def test_config_rejects_too_many_steps():
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        StepperConfig(dt=1e-300, t_end=1.0)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        StepperConfig(dt=1e-200, t_end=1e200)  # t_end / dt overflows to inf
+    assert StepperConfig(dt=1.0, t_end=float(_MAX_STEPS)).n_steps() == _MAX_STEPS
+
+
+def test_simulate_stops_on_non_finite_sample():
+    # finite coefficients whose H^200 norm overflows: no inf reaches a report
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.01)
+    with pytest.raises(StepFailure, match="H200 overflowed at t = 0"):
+        simulate(seeded_state(0, 64, 0), cfg, h_s=(200.0,))
 
 
 def test_simulate_stops_on_non_finite_state():

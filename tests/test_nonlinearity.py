@@ -180,3 +180,29 @@ def test_kernel_integral_sweep():
 def test_kernel_integral_resolution_check():
     with pytest.raises(ValueError):
         kernel_integral(3, 32)
+
+
+# Bit-exact values of the three midpoint-rule routes on one seeded N = 12
+# state: any change to the discretization (nodes, kernel, chunking, 4N grid)
+# shows here.  Outputs that are zero up to rounding are not pinned.
+QUADRATURE_PIN = {
+    0: {0: -0.10470407562374393 + 0.053214359408041076j,
+        11: 0.019403972489430786 - 0.002284951705327689j,
+        22: -0.0001461071810021491 - 4.7246251275528584e-05j},
+    1: {1: -0.02228681731568516 + 0.022221596252951132j,
+        11: 0.009925670973477414 - 0.005022726788163219j,
+        20: 0.00016640293894154093 + 8.046233967068918e-05j},
+}
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_quadrature_routes_match_pinned_values(sigma):
+    from filament.invariants import energy_quadrature
+
+    st = seeded_state(sigma, 12, 4)
+    got = c_sigma_quadrature(st, 96).coeffs_full
+    for index, value in QUADRATURE_PIN[sigma].items():
+        assert got[index] == value
+    assert energy_quadrature(st, 96) == {0: 0.4884312805968158, 1: 0.1745421346974227}[sigma]
+    assert kernel_integral(3, 64) == 18.849555921538798
+    assert kernel_integral(-2, 100) == 12.566370614359217
