@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filament.cli import build_parser, main, OUT_DIR_ENV
+from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
 from filament.spectral import seeded_state, state_to_dict
 
 
@@ -198,6 +198,64 @@ def test_simulate_large_hs_exponent_stays_finite(tmp_path):
         records = [json.loads(line, parse_constant=_reject_constant) for line in fh]
     samples = by_kind(records, "sample")
     assert samples and all(np.isfinite(s["H100"]) and s["H100"] > 1e170 for s in samples)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--init", "random", "--n-modes", "256", "--dt", "1e-2", "--t-end", "0.1",
+     "--sample-every", "5"],  # rk4 blow-up
+    ["--init", "random", "--n-modes", "8", "--scheme", "midpoint", "--dt", "50",
+     "--t-end", "50", "--sample-every", "1"],  # midpoint non-convergence
+    ["--n-modes", "64", "--hs", "200", "--t-end", "0.01", "--dt", "1e-3"],  # H^200 overflow
+])
+def test_simulate_step_failure_record_on_stderr(tmp_path, capsys, argv):
+    out = tmp_path / "fail.jsonl"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == read_records(out)[-1]
+    assert err["error_type"] == "step_failure"
+
+
+@pytest.mark.parametrize("argv, code, error_type, records", [
+    (["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e300",
+      "--momentum-target", "1e300", "--max-iter", "5", "--n-starts", "1"],
+     2, "numerical", ["header", "error"]),  # OverflowError in the multiplier fit
+    (["wave-residual", "--init", "psi_k:3", "--speed", "1e308", "--omega", "1e308"],
+     2, "numerical", ["header", "error"]),  # an infinite residual reaches the stream
+    (["simulate", "--sigma", "1", "--n-modes", "4", "--init", "two_mode:nan:1:2"],
+     1, "validation", []),  # a non-finite amplitude is rejected before the header
+])
+def test_failures_end_in_json_without_traceback(tmp_path, argv, code, error_type, records):
+    # a child process: these inputs raise numpy RuntimeWarnings, which fail tests in-process
+    out = tmp_path / "run.jsonl"
+    proc = subprocess.run([sys.executable, "-m", "filament", *argv, "--out", str(out)],
+                          capture_output=True, text=True)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    err = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert err["record"] == "error" and err["error_type"] == error_type
+    stream = read_records(out)
+    assert [r["record"] for r in stream] == records
+    assert stream[-1:] in ([], [err])
+
+
+def test_emit_refuses_non_finite_values(tmp_path):
+    out = tmp_path / "run.jsonl"
+    with _Writer(str(out), "simulate") as writer:
+        with pytest.raises(ArithmeticError, match="sample"):
+            writer.emit({"record": "sample", "E": float("nan")})
+    assert out.read_text() == ""
+
+
+def test_invariants_n_quad_below_8n_is_rejected(capsys):
+    assert main(["invariants", "--n-modes", "2", "--n-quad", "8", "--init", "psi_k:2"]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "n_quad must be at least 8*n_modes" in err["message"]
+
+
+def test_invariants_default_n_quad_follows_n_modes(tmp_path):
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--n-modes", "130", "--out", str(out)]) == 0
+    assert read_records(out)[0]["config"]["n_quad"] == 1040
 
 
 def test_stream_ends_with_error_record_after_header(tmp_path, capsys):
@@ -403,6 +461,7 @@ def test_selftest_is_verify(tmp_path):
         assert records[0]["subcommand"] == name
         streams[name] = [c["name"] for c in by_kind(records, "check")]
     assert streams["selftest"] == streams["verify"]
+    assert len(set(streams["verify"])) == len(streams["verify"])
     assert "rk4 psi_2 phase t=0.2 sigma=0" in streams["verify"]
     assert "minimizer zero energy sigma=1 M=P=2pi" in streams["verify"]
 
