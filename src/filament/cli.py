@@ -36,6 +36,7 @@ from .nonlinearity import (
     kernel_integral,
 )
 from .invariants import (
+    _check_sobolev_exponent,
     energy_spectral,
     energy_lambda_form,
     energy_quadrature,
@@ -253,12 +254,15 @@ def cmd_simulate(args, writer) -> int:
     return EXIT_OK
 
 
-def _trunc_deviation(state: SpectralState, ref: np.ndarray) -> float:
-    """Deviation of the truncated kernel from modes 1..N of the direct output
-    ``ref``, relative to the largest of those modes."""
-    ref = ref[: state.n_modes]
-    got = _c_sigma_trunc_raw(state.coeffs, state.sigma)
+def _rel_deviation(got: np.ndarray, ref: np.ndarray) -> float:
+    """max|got - ref| / max|ref|: how far one route is from the reference."""
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def _trunc_deviation(state: SpectralState, ref: np.ndarray) -> float:
+    """Relative deviation of the truncated kernel from modes 1..N of the
+    direct output ``ref``."""
+    return _rel_deviation(_c_sigma_trunc_raw(state.coeffs, state.sigma), ref[: state.n_modes])
 
 
 def _verify_rows(seed: int):
@@ -290,14 +294,13 @@ def _verify_rows(seed: int):
         for i in range(3):
             state = seeded_state(sigma, 32, seed + i)
             ref = c_sigma_direct(state).coeffs_full
-            scale = float(np.max(np.abs(ref)))
             yield (f"route fast sigma={sigma} seed={seed + i}",
-                   float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref))) / scale, 1e-12)
+                   _rel_deviation(c_sigma_fast(state).coeffs_full, ref), 1e-12)
             yield (f"route unsym sigma={sigma} seed={seed + i}",
-                   float(np.max(np.abs(c_sigma_unsym(state).coeffs_full - ref))) / scale, 1e-12)
+                   _rel_deviation(c_sigma_unsym(state).coeffs_full, ref), 1e-12)
             yield (f"route trunc N=32 sigma={sigma} seed={seed + i}", _trunc_deviation(state, ref), 1e-12)
             yield (f"route quadrature sigma={sigma} seed={seed + i}",
-                   float(np.max(np.abs(c_sigma_quadrature(state, 8 * 32).coeffs_full - ref))) / scale, 1e-6)
+                   _rel_deviation(c_sigma_quadrature(state, 8 * 32).coeffs_full, ref), 1e-6)
             if sigma == 1:
                 yield (f"sigma=1 mode-1 output seed={seed + i}", float(np.abs(ref[0])), 1e-14)
 
@@ -387,15 +390,13 @@ def cmd_minimize(args, writer) -> int:
         grad_tol=args.tol, max_iter=args.max_iter,
         seed=args.seed, n_starts=args.n_starts,
     )
+    init = None if args.init is None else _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     writer.header({
         "sigma": args.sigma, "n_modes": args.n_modes,
         "mass_target": args.mass_target, "momentum_target": args.momentum_target,
         "constraint_mode": args.constraint_mode, "grad_tol": opts.grad_tol,
         "max_iter": opts.max_iter, "seed": opts.seed, "n_starts": opts.n_starts,
     })
-    init = None
-    if args.init is not None:
-        init = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     result = minimize_energy(args.sigma, args.n_modes, target, init=init, opts=opts)
     rec = {"record": "minimizer"}
     rec.update(result.to_record())
@@ -467,7 +468,7 @@ def cmd_bench(args, writer) -> int:
         t_fast = best_time(c_sigma_fast)
         t_trunc = best_time(lambda s: _c_sigma_trunc_raw(s.coeffs, s.sigma))
         ref = c_sigma_direct(state).coeffs_full
-        dev = float(np.max(np.abs(c_sigma_fast(state).coeffs_full - ref)) / np.max(np.abs(ref)))
+        dev = _rel_deviation(c_sigma_fast(state).coeffs_full, ref)
         dev_trunc = _trunc_deviation(state, ref)
         worst = max(worst, dev, dev_trunc)
         writer.emit({
@@ -501,6 +502,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _sobolev_exponent(text: str) -> float:
+    """Type of ``--hs``: a finite exponent that ``sobolev_norm`` accepts."""
+    value = _finite_float(text)
+    try:
+        return _check_sobolev_exponent(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-end", type=_finite_float, default=1.0)
     p.add_argument("--scheme", choices=("rk4", "midpoint"), default="rk4")
     p.add_argument("--sample-every", type=_positive_int, default=100)
-    p.add_argument("--hs", type=_finite_float, nargs="*", default=[],
+    p.add_argument("--hs", type=_sobolev_exponent, nargs="*", default=[],
                    help="Sobolev exponents to report along the run")
     p.add_argument("--snapshots", type=str, default=None,
                    help="directory for full state snapshots at each sample")
@@ -579,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", type=str, default="random")
     p.add_argument("--n-quad", type=_positive_int, default=None,
                    help="midpoint nodes of the quadrature energy; default max(1024, 8*N)")
-    p.add_argument("--hs", type=_finite_float, nargs="*", default=[0.5, 1.0, 1.5])
+    p.add_argument("--hs", type=_sobolev_exponent, nargs="*", default=[0.5, 1.0, 1.5])
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes")
@@ -595,7 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        with _Writer(args.out, args.subcommand) as writer:
+        # numpy floating-point errors raise, as numerical in _ERRORS; the library's
+        # own errstate blocks, where a non-finite result is tested, still apply
+        with (_Writer(args.out, args.subcommand) as writer,
+              np.errstate(over="raise", invalid="raise", divide="raise")):
             return args.func(args, writer)
     except SystemExit:  # --help printed its text; every parse error raises ValueError
         return EXIT_OK

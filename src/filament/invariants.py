@@ -92,14 +92,6 @@ def energy_spectral(state: SpectralState) -> float:
     return _energy_spectral_raw(state.coeffs, state.sigma)
 
 
-def _energy_pairing_raw(a: np.ndarray, sigma: int) -> float:
-    # E = 4 Re <a, Q^N C_sigma a>: Euler's relation for the quartic E and
-    # the gradient identity dE/d conj(a_p) = 8 C_p.  An overflowing energy
-    # comes out non-finite, which the callers test; no warning on the way.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return 4.0 * np.vdot(a, _c_sigma_trunc_raw(a, sigma)).real
-
-
 def energy_lambda_form(state: SpectralState) -> float:
     """FFT energy route via the |d/dx| multiplier, on an alias-free grid."""
     a = state.coeffs
@@ -144,6 +136,14 @@ def first_mode(state: SpectralState) -> complex:
     return complex(state.coeffs[0])
 
 
+def _check_sobolev_exponent(s: float) -> float:
+    """s itself if :func:`sobolev_norm` accepts it, else ValueError; the CLI
+    checks ``--hs`` with it at parse time."""
+    if not s >= -1.0:  # nan too
+        raise ValueError(f"Sobolev exponent must be >= -1, got {s}")
+    return s
+
+
 def sobolev_norm(state: SpectralState, s: float) -> float:
     """H^s norm (2pi sum k^{2s} |a_k|^2)^{1/2}; diagnostic only.
 
@@ -151,8 +151,7 @@ def sobolev_norm(state: SpectralState, s: float) -> float:
     nonzero mode, so a representable norm never overflows on the way; a
     norm beyond the float range is inf, without a warning.
     """
-    if s < -1.0:
-        raise ValueError(f"Sobolev exponent must be >= -1, got {s}")
+    _check_sobolev_exponent(s)
     nonzero = np.flatnonzero(state.coeffs)
     if nonzero.size == 0:
         return 0.0
@@ -228,13 +227,18 @@ def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
     """Compute all conserved quantities.
 
     The energy is the pairing 4 Re <a, Q^N C_sigma a> on the truncated
-    kernel: exact like :func:`energy_spectral` (they agree to rounding) at
-    O(N log N) cost, so it is the per-sample diagnostic of every trajectory.
+    kernel (Euler's relation for the quartic E and the gradient identity
+    dE/d conj(a_p) = 8 C_p): exact like :func:`energy_spectral` (they agree
+    to rounding) at O(N log N) cost, so it is the per-sample diagnostic of
+    every trajectory.  A value beyond the float range comes out non-finite,
+    without a warning, for ``integrator.sample_record`` to reject.
     """
-    return InvariantReport(
-        energy=_energy_pairing_raw(state.coeffs, state.sigma),
-        momentum=momentum(state),
-        mass=mass(state),
-        a1=first_mode(state),
-        h_s_norms={float(s): sobolev_norm(state, s) for s in h_s},
-    )
+    a = state.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        return InvariantReport(
+            energy=4.0 * np.vdot(a, _c_sigma_trunc_raw(a, state.sigma)).real,
+            momentum=momentum(state),
+            mass=mass(state),
+            a1=first_mode(state),
+            h_s_norms={float(s): sobolev_norm(state, s) for s in h_s},
+        )

@@ -213,10 +213,8 @@ def _fit_multipliers(a: np.ndarray, cubic: np.ndarray):
     return lam, mu, misfit, float(np.linalg.norm(misfit)) / scale
 
 
-def multiplier_extraction(state: SpectralState, sigma: int | None = None):
+def multiplier_extraction(state: SpectralState):
     """Extract the stationarity multipliers (lambda, mu) and the relative misfit."""
-    if sigma is not None and sigma != state.sigma:
-        state = SpectralState(sigma, state.coeffs)
     a = state.coeffs
     lam, mu, _, rel = _fit_multipliers(a, _c_sigma_trunc_raw(a, state.sigma))
     return lam, mu, rel

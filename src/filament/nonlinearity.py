@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralState, dealiased_grid_size, _next_fast_len, _synthesize
+from .spectral import SpectralState, dealiased_grid_size, _analyze, _next_fast_len, _synthesize
 
 __all__ = [
     "NonlinearityResult",
@@ -267,8 +267,7 @@ def c_sigma_quadrature(state: SpectralState, n_quad: int) -> NonlinearityResult:
         acc += np.einsum("jx,j->x", np.abs(d) ** 2 * d, kern)
     integral = acc / (2.0 * n_quad)  # (1/4pi) * (2pi/n_quad) * sum_j
     g = integral - state.sigma * np.abs(u) ** 2 * u
-    ghat = np.fft.fft(g) / u.size
-    return NonlinearityResult(state.sigma, n, ghat[1 : 2 * n])
+    return NonlinearityResult(state.sigma, n, _analyze(g, 2 * n - 1))
 
 
 def kernel_integral(m: int, n_quad: int) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "make_psi_k",
     "make_two_mode",
     "wave_residual",
+    "StationaryScan",
     "stationary_scan",
     "orbit_distance",
     "orbital_stability_probe",

@@ -231,11 +231,32 @@ def test_failures_end_in_json_without_traceback(tmp_path, argv, code, error_type
                           capture_output=True, text=True)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1  # no numpy warning ahead of the record
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["record"] == "error" and err["error_type"] == error_type
     stream = read_records(out)
     assert [r["record"] for r in stream] == records
     assert stream[-1:] in ([], [err])
+
+
+def test_simulate_momentum_overflow_stays_step_failure(tmp_path, capsys):
+    # |a|^2 overflows P and M: the sample fails as step_failure, not as a numpy error
+    snap = tmp_path / "huge.json"
+    snap.write_text(json.dumps({"sigma": 0, "n_modes": 2, "coeffs": [[1e200, 0.0], [0.0, 0.0]]}))
+    out = tmp_path / "huge.jsonl"
+    assert main(["simulate", "--init", f"file:{snap}", "--n-modes", "2", "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err == read_records(out)[-1]
+    assert err["error_type"] == "step_failure" and "P, M" in err["message"]
+
+
+@pytest.mark.parametrize("init, code", [("psi_k:abc", 1), ("file:/nonexistent/snapshot.json", 3)])
+def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", "--mass-target", "1", "--momentum-target", "2", "--n-modes", "4",
+                 "--init", init, "--out", str(out)]) == code
+    assert read_records(out) == []
+    assert _stderr_error(capsys)["record"] == "error"
 
 
 def test_emit_refuses_non_finite_values(tmp_path):
@@ -450,6 +471,15 @@ def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag
     assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and flag in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--hs", "1", "-2"], ["invariants", "--hs", "-2"]])
+def test_hs_below_minus_one_rejected_at_parse_time(tmp_path, capsys, argv):
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "--hs" in err["message"]
 
 
 def test_selftest_is_verify(tmp_path):

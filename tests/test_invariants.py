@@ -188,6 +188,12 @@ def test_sobolev_norms():
         sobolev_norm(make_psi_k(1, 0, 1), -1.5)
 
 
+def test_sobolev_norm_rejects_nan_exponent():
+    # a nan exponent used to give a nan norm, reported by simulate() as "Hnan overflowed"
+    with pytest.raises(ValueError, match="Sobolev exponent"):
+        sobolev_norm(make_psi_k(1, 0, 1), float("nan"))
+
+
 def test_sobolev_norm_large_exponent():
     # ~2e178: representable, though k^(2s) alone overflows at k = 64
     st = seeded_state(0, 64, 1)

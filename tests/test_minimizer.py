@@ -81,7 +81,7 @@ def test_multiplier_extraction_single_modes():
     # the minimal-norm representative is returned exactly
     for sigma in (0, 1):
         for k in (1, 2, 4):
-            lam, mu, rel = multiplier_extraction(make_psi_k(k, sigma, 5), sigma)
+            lam, mu, rel = multiplier_extraction(make_psi_k(k, sigma, 5))
             assert lam / k + mu == pytest.approx((4.0 / np.pi) * (k - sigma), rel=1e-12, abs=1e-12)
             # minimal-norm solution lies along the normal (1/k, 1)
             assert lam == pytest.approx(mu / k, rel=1e-10, abs=1e-12)
