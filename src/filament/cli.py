@@ -48,7 +48,7 @@ from .invariants import (
     energy_gradient_check,
     invariant_report,
 )
-from .integrator import StepperConfig, StepFailure, sample_record, step, simulate
+from .integrator import StepperConfig, StepFailure, StepMemory, sample_record, step, simulate
 from .waves import (
     make_psi_k,
     make_two_mode,
@@ -57,6 +57,7 @@ from .waves import (
     two_mode_phase_fit,
 )
 from .minimizer import (
+    _check_targets,
     ConstraintTarget,
     MinimizeOptions,
     ProjectionError,
@@ -232,13 +233,14 @@ def cmd_simulate(args, writer) -> int:
             write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
 
     current = state
+    memory = StepMemory()
     sample(0, current)
     for i in range(1, n_steps + 1):
-        current = step(current, config, (i - 1) * config.dt)
+        current = step(current, config, (i - 1) * config.dt, memory)
         if i % config.sample_every == 0 or i == n_steps:
             sample(i, current)
 
-    summary = {"record": "summary", "t_end": config.t_end}
+    summary = {"record": "summary", "t_end": config.t_end, "counters": memory.counters()}
     if form == "psi_k":
         k = int(fields[0])
         expected = np.exp(1j * k * (k - args.sigma) * config.t_end)
@@ -390,6 +392,7 @@ def cmd_minimize(args, writer) -> int:
         grad_tol=args.tol, max_iter=args.max_iter,
         seed=args.seed, n_starts=args.n_starts,
     )
+    _check_targets(args.sigma, args.n_modes, target)
     init = None if args.init is None else _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     writer.header({
         "sigma": args.sigma, "n_modes": args.n_modes,

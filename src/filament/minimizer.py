@@ -30,6 +30,7 @@ corresponding mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,27 @@ class ConstraintTarget:
                 f"infeasible target: mass {m_star} below momentum/n_modes = "
                 f"{p_star / n_modes} (truncation at {n_modes} modes)"
             )
+
+
+def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
+    """ValueError for targets outside the reachable band, or whose quartic
+    energy scale overflows a float.
+
+    E is quartic in the coefficients, so it scales like the square of the
+    momentum on the modes it sees: at most P* (N M* under the mass
+    constraint alone).  E_1 does not see mode 1, and under both constraints
+    modes 2..N carry at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k).
+    """
+    target.validate_for(n_modes)
+    m_star, p_star = target.mass_target, target.momentum_target
+    seen = n_modes * m_star if target.mode == "mass_only" else p_star
+    if sigma == 1 and target.mode == "both":
+        seen = min(seen, 2.0 * abs(p_star - m_star))
+    if not math.isfinite(seen * seen):
+        raise ValueError(
+            f"mass target {m_star:g} and momentum target {p_star:g} are too large: "
+            f"the quartic energy scale ({seen:g})^2 overflows a float"
+        )
 
 
 def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarray:
@@ -331,7 +353,7 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
         energy=energy_spectral(state),
         iterations=iterations,
         grad_norm=grad_norm,
-        converged=converged or grad_norm <= max(opts.grad_tol, 1e3 * np.finfo(float).eps * (1.0 + abs(energy))),
+        converged=bool(converged or grad_norm <= max(opts.grad_tol, 1e3 * np.finfo(float).eps * (1.0 + abs(energy)))),
         seed=seed,
         energy_history=tuple(history),
     )
@@ -351,7 +373,7 @@ def minimize_energy(
     energy wins.  The returned state is gauge-fixed (lowest occupied mode
     rotated to the positive real axis) so runs are comparable.
     """
-    target.validate_for(n_modes)
+    _check_targets(sigma, n_modes, target)
     if init is not None:
         if init.n_modes != n_modes:
             raise ValueError(f"init has {init.n_modes} modes, expected {n_modes}")

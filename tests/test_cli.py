@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
-from filament.spectral import seeded_state, state_to_dict
+from filament.spectral import seeded_state, state_to_dict, write_snapshot
 
 
 def read_records(path):
@@ -42,6 +42,7 @@ def test_simulate_psi_k(tmp_path):
     summary = by_kind(records, "summary")[0]
     assert summary["phase_deviation"] <= 1e-8
     assert summary["modulus_deviation"] <= 1e-10
+    assert summary["counters"] == {"rhs_evals": 4 * 1000, "midpoint_max_iterations": 0}
 
 
 def test_simulate_zero_state(tmp_path):
@@ -139,7 +140,21 @@ def test_simulate_step_failure_exit_code(tmp_path):
     records = read_records(out)
     errors = by_kind(records, "error")
     assert errors and errors[0]["error_type"] == "step_failure"
+    assert "dt = 50 is too large for this state, reduce it" in errors[0]["message"]
     assert by_kind(records, "sample")  # partial output was flushed first
+
+
+def test_midpoint_rhs_evaluations_per_step_on_the_conserve_shape(tmp_path):
+    # perfbench's conserve-n256 job at seed 0, counted: the Euler start took 6.00
+    snap = tmp_path / "state.json"
+    write_snapshot(seeded_state(0, 256, 0, amplitude=0.5), snap)
+    out = tmp_path / "run.jsonl"
+    assert main(["simulate", "--scheme", "midpoint", "--n-modes", "256", "--dt", "1e-4",
+                 "--t-end", "1e-2", "--sample-every", "5", "--init", f"file:{snap}",
+                 "--out", str(out)]) == 0
+    counters = by_kind(read_records(out), "summary")[0]["counters"]
+    assert counters["rhs_evals"] / 100 <= 3.5
+    assert counters["midpoint_max_iterations"] >= 1
 
 
 def _reject_constant(token):
@@ -216,9 +231,9 @@ def test_simulate_step_failure_record_on_stderr(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, code, error_type, records", [
-    (["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e300",
-      "--momentum-target", "1e300", "--max-iter", "5", "--n-starts", "1"],
-     2, "numerical", ["header", "error"]),  # OverflowError in the multiplier fit
+    (["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e104",
+      "--momentum-target", "1e104", "--max-iter", "5", "--n-starts", "1"],
+     2, "numerical", ["header", "error"]),  # the multiplier fit overflows below the quartic bound
     (["wave-residual", "--init", "psi_k:3", "--speed", "1e308", "--omega", "1e308"],
      2, "numerical", ["header", "error"]),  # an infinite residual reaches the stream
     (["simulate", "--sigma", "1", "--n-modes", "4", "--init", "two_mode:nan:1:2"],
@@ -257,6 +272,29 @@ def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
                  "--init", init, "--out", str(out)]) == code
     assert read_records(out) == []
     assert _stderr_error(capsys)["record"] == "error"
+
+
+def test_minimize_target_overflow_rejected_before_header(tmp_path, capsys):
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e300",
+                 "--momentum-target", "2e300", "--max-iter", "5", "--n-starts", "1",
+                 "--out", str(out)]) == 1
+    assert read_records(out) == []
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation"
+    assert "mass target 1e+300" in err["message"] and "momentum target 2e+300" in err["message"]
+
+
+@pytest.mark.parametrize("sigma, mass, momentum", [
+    (0, "625", "1000"),  # E above ~5e4 made `converged` a numpy bool, which json refused
+    (1, "1e200", "1e200"),  # all on mode 1, which E_1 does not see: E = 0
+])
+def test_minimize_large_targets_that_fit_still_run(tmp_path, sigma, mass, momentum):
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", "--sigma", str(sigma), "--n-modes", "4", "--mass-target", mass,
+                 "--momentum-target", momentum, "--max-iter", "5", "--n-starts", "1",
+                 "--out", str(out)]) == 0
+    assert by_kind(read_records(out), "minimizer")[0]["converged"] in (True, False)
 
 
 def test_emit_refuses_non_finite_values(tmp_path):

@@ -5,6 +5,7 @@ from filament.spectral import SpectralState, seeded_state
 from filament.integrator import (
     StepperConfig,
     StepFailure,
+    StepMemory,
     _MAX_STEPS,
     rhs,
     step,
@@ -136,6 +137,84 @@ def test_midpoint_non_convergence_reports_diagnostics():
     # divergence: the last residual is either positive or has overflowed
     assert info.value.residual > 0.0 or not np.isfinite(info.value.residual)
     assert info.value.t == 0.0
+
+
+def test_midpoint_non_convergence_with_memory_reports_diagnostics():
+    # the same failure after a few converged steps, so the solve starts from the predictor
+    st = seeded_state(0, 8, 0, amplitude=2.0)
+    memory = StepMemory()
+    small = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-4)
+    for i in range(3):
+        st = step(st, small, i * 1e-4, memory)
+    assert len(memory.slopes) == 3
+    cfg = StepperConfig(
+        scheme="implicit_midpoint", dt=50.0, t_end=50.0,
+        sample_every=1, midpoint_max_iter=5,
+    )
+    with pytest.raises(StepFailure, match=r"dt = 50 is too large for this state, reduce it") as info:
+        step(st, cfg, t=0.0, memory=memory)
+    assert 1 <= info.value.iterations <= 5
+    assert info.value.residual > 0.0 or not np.isfinite(info.value.residual)
+    assert info.value.t == 0.0
+
+
+def _euler_started_midpoint(state, dt, tol=1e-12, max_iter=100):
+    """One implicit midpoint step solved from the explicit Euler guess, by the
+    same fixed-point loop and residual test as the stepper."""
+    a = state.coeffs
+
+    def f(x):
+        return rhs(state.with_coeffs(x)).coeffs
+
+    new = a + dt * f(a)
+    for _ in range(max_iter):
+        target = a + dt * f(0.5 * (a + new))
+        d = target - new
+        new = target
+        if float(np.sqrt(np.vdot(d, d).real)) <= tol:
+            return state.with_coeffs(new)
+    raise AssertionError("reference midpoint solve did not converge")
+
+
+@pytest.mark.parametrize("sigma, n_modes", [(0, 32), (1, 200)])  # both kernel branches
+def test_step_without_history_is_the_euler_started_solve(sigma, n_modes):
+    st = seeded_state(sigma, n_modes, 4, amplitude=0.5)
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-4)
+    expect = _euler_started_midpoint(st, 1e-4).coeffs
+    assert np.array_equal(step(st, cfg).coeffs, expect)
+    assert np.array_equal(step(st, cfg, memory=StepMemory()).coeffs, expect)
+
+
+def test_predictor_changes_the_midpoint_run_at_solve_tolerance_only():
+    st = seeded_state(0, 256, 0, amplitude=0.5)
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-2, sample_every=100)
+    ref = st
+    for _ in range(100):
+        ref = _euler_started_midpoint(ref, 1e-4)
+    final = simulate(st, cfg).final_state.coeffs
+    assert np.max(np.abs(final - ref.coeffs)) <= 1e-11
+
+
+def test_simulate_starts_each_run_with_a_fresh_history():
+    st = seeded_state(1, 16, 2, amplitude=0.5)
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-3, t_end=0.05, sample_every=10)
+    first, second = simulate(st, cfg), simulate(st, cfg)
+    assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(first.states, second.states))
+    assert first.records() == second.records()
+
+
+def test_memory_counts_rhs_evaluations_and_midpoint_iterations():
+    st = seeded_state(0, 16, 1, amplitude=0.5)
+    memory = StepMemory()
+    step(st, StepperConfig(scheme="rk4", dt=1e-3, t_end=1e-3), memory=memory)
+    assert memory.counters() == {"rhs_evals": 4, "midpoint_max_iterations": 0}
+    assert not memory.slopes  # RK4 leaves no midpoint history
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-3, t_end=1e-3)
+    step(st, cfg, memory=memory)
+    iterations = memory.midpoint_max_iterations
+    assert iterations >= 1
+    assert memory.rhs_evals == 4 + 1 + iterations  # Euler start, then one per iteration
+    assert len(memory.slopes) == 1
 
 
 def test_config_rejects_fractional_step_count():
