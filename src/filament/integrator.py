@@ -58,6 +58,8 @@ __all__ = [
 _SCHEMES = ("rk4", "implicit_midpoint")
 _MAX_STEPS = 10**9  # about 17 h at 60 us per step
 _PREDICTOR_SLOPES = 6  # q: past midpoint slopes the predictor extrapolates; see CHANGES.md
+_MIDPOINT_TOL = 1e-12  # fixed-point residual (2-norm of the update) that ends a midpoint solve
+_MIDPOINT_MAX_ITER = 100
 
 
 class StepFailure(RuntimeError):
@@ -77,8 +79,6 @@ class StepperConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     sample_every: int = 1
-    midpoint_tol: float = 1e-12
-    midpoint_max_iter: int = 100
 
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
@@ -91,10 +91,6 @@ class StepperConfig:
             raise ValueError("dt must not exceed t_end")
         if self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
-        if self.midpoint_tol < 1e-15:
-            raise ValueError("midpoint_tol must be at least 1e-15")
-        if self.midpoint_max_iter < 1:
-            raise ValueError("midpoint_max_iter must be a positive integer")
         self.n_steps()
 
     def n_steps(self) -> int:
@@ -187,7 +183,7 @@ class StepMemory:
                 "midpoint_max_iterations": self.midpoint_max_iterations}
 
 
-def _midpoint_step(a, dt, sigma, tol, max_iter, t, memory):
+def _midpoint_step(a, dt, sigma, t, memory):
     n = len(memory.slopes)
     if n:  # the past slopes extrapolated to this step (module docstring)
         new = a + dt * sum((-1) ** j * math.comb(n, j + 1) * f
@@ -196,13 +192,13 @@ def _midpoint_step(a, dt, sigma, tol, max_iter, t, memory):
         new = a + dt * _rhs_raw(a, sigma)  # explicit Euler predictor
         memory.rhs_evals += 1
     residual = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MIDPOINT_MAX_ITER + 1):
         slope = _rhs_raw(0.5 * (a + new), sigma)
         target = a + dt * slope
         d = target - new
         residual = float(np.sqrt(np.vdot(d, d).real))  # 2-norm, cheaper than linalg.norm
         new = target
-        if residual <= tol:
+        if residual <= _MIDPOINT_TOL:
             memory.slopes.appendleft(slope)
             memory.rhs_evals += it
             memory.midpoint_max_iterations = max(memory.midpoint_max_iterations, it)
@@ -222,10 +218,7 @@ def _advance(a, sigma, config, t, memory=None):
             out = _rk4_step(a, config.dt, sigma)
             memory.rhs_evals += 4
         else:
-            out = _midpoint_step(
-                a, config.dt, sigma,
-                config.midpoint_tol, config.midpoint_max_iter, t, memory,
-            )
+            out = _midpoint_step(a, config.dt, sigma, t, memory)
     if not np.isfinite(out).all():
         raise StepFailure(t, 0, np.inf, f"{config.scheme} step from t = {t:g} "
                           "produced non-finite coefficients")

@@ -99,23 +99,27 @@ class ConstraintTarget:
 
 
 def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
-    """ValueError for targets outside the reachable band, or whose quartic
-    energy scale overflows a float.
+    """ValueError for targets outside the reachable band, or whose scales
+    overflow a float in the descent.
 
-    E is quartic in the coefficients, so it scales like the square of the
-    momentum on the modes it sees: at most P* (N M* under the mass
-    constraint alone).  E_1 does not see mode 1, and under both constraints
-    modes 2..N carry at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k).
+    The momentum is at most P* (N M* under the mass constraint alone), so
+    |a| is at most sqrt(P*), and the stationarity misfit cubes it.  The
+    descent also squares the gradient 8C in the P-norm.  C is cubic and
+    sees only part of the momentum: at most P*, and for E_1 under both
+    constraints at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k)
+    and E_1 does not see mode 1.  On the seen momentum S its size is at most
+    about N S^(3/2), reached with all weight on mode N, where C = N |a|^2 a.
     """
     target.validate_for(n_modes)
     m_star, p_star = target.mass_target, target.momentum_target
-    seen = n_modes * m_star if target.mode == "mass_only" else p_star
-    if sigma == 1 and target.mode == "both":
-        seen = min(seen, 2.0 * abs(p_star - m_star))
-    if not math.isfinite(seen * seen):
+    total = n_modes * m_star if target.mode == "mass_only" else p_star
+    seen = min(total, 2.0 * abs(p_star - m_star)) if sigma == 1 and target.mode == "both" else total
+    grad = 8.0 * n_modes * seen * math.sqrt(seen)  # products, not **, so overflow gives inf
+    if not (math.isfinite(_TWO_PI * grad * grad) and math.isfinite(total * math.sqrt(total))):
         raise ValueError(
-            f"mass target {m_star:g} and momentum target {p_star:g} are too large: "
-            f"the quartic energy scale ({seen:g})^2 overflows a float"
+            f"mass target {m_star:g} and momentum target {p_star:g} are too large for {n_modes} "
+            f"modes: the squared gradient 2 pi (8 N S^1.5)^2 with S = {seen:g}, or the cube "
+            f"P^1.5, overflows a float"
         )
 
 
@@ -137,10 +141,13 @@ def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
         raise ValueError("cannot project the zero state onto a positive-size constraint set")
     k = np.arange(1, n + 1, dtype=float)
 
-    if target.mode == "momentum_only":
-        return a * np.sqrt(target.momentum_target / (_TWO_PI * total))
     if target.mode == "mass_only":
         return a * np.sqrt(target.mass_target / (_TWO_PI * float((power / k).sum())))
+    # the projection is scale-equivariant: start from a at P = P*, so that the
+    # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale
+    a = a * np.sqrt(target.momentum_target / (_TWO_PI * total))
+    if target.mode == "momentum_only":
+        return a
 
     m_star, p_star = target.mass_target, target.momentum_target
     # boundary ratios force all weight onto a single mode
@@ -149,6 +156,7 @@ def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
     if abs(m_star - p_star / n) <= _BOUNDARY_RTOL * p_star:
         return _single_mode_projection(a, n, p_star)
 
+    power = np.abs(a) ** 2
     p_goal = p_star / _TWO_PI
     m_goal = m_star / _TWO_PI
 

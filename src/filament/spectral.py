@@ -30,11 +30,6 @@ import numpy as np
 
 __all__ = [
     "SpectralState",
-    "GridField",
-    "MULTIPLIER_SYMBOLS",
-    "apply_multiplier",
-    "to_grid",
-    "from_grid",
     "dealiased_grid_size",
     "p_norm",
     "seeded_state",
@@ -80,56 +75,6 @@ class SpectralState:
         return SpectralState(self.sigma, coeffs)
 
 
-@dataclass(frozen=True)
-class GridField:
-    """Complex samples at the equispaced points x_j = 2*pi*j/M, j = 0..M-1."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.complex128).copy()
-        if s.ndim != 1 or s.size < 1:
-            raise ValueError("samples must be a non-empty 1-d sequence")
-        s.flags.writeable = False
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def grid_size(self) -> int:
-        return self.samples.size
-
-
-# symbols of the diagonal multipliers, as functions of the integer mode
-# (scalar or array)
-MULTIPLIER_SYMBOLS = {
-    "lambda": lambda k: abs(k),
-    "lambda_inv": lambda k: 1.0 / abs(k),
-    "d_x": lambda k: 1j * k,
-}
-
-
-def apply_multiplier(state: SpectralState, which: str, cutoff: int | None = None) -> SpectralState:
-    """Apply a diagonal Fourier multiplier to a state.
-
-    ``which`` is one of ``lambda`` (symbol |k|), ``lambda_inv`` (1/|k|,
-    well defined since k >= 1), ``d_x`` (i*k) or ``q_cutoff`` (zero all
-    modes above ``cutoff``).  Multipliers never enlarge the support of the
-    spectrum.
-    """
-    k = state.modes
-    if which == "q_cutoff":
-        if cutoff is None or cutoff < 0:
-            raise ValueError("q_cutoff needs a nonnegative integer cutoff")
-        out = np.array(state.coeffs)
-        out[k > cutoff] = 0.0
-        return state.with_coeffs(out)
-    try:
-        symbol = MULTIPLIER_SYMBOLS[which]
-    except KeyError:
-        names = tuple(MULTIPLIER_SYMBOLS) + ("q_cutoff",)
-        raise ValueError(f"unknown multiplier {which!r}; expected one of {names}") from None
-    return state.with_coeffs(symbol(k) * state.coeffs)
-
-
 def _synthesize(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Exact synthesis of positive modes 1..N on an M-point grid (M >= N+1),
     along the last axis: a (J, N) array gives J rows of samples."""
@@ -140,36 +85,11 @@ def _synthesize(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
 
 
 def _analyze(samples: np.ndarray, n_modes: int) -> np.ndarray:
-    """Discrete Fourier analysis keeping modes 1..N only."""
+    """Discrete Fourier analysis keeping modes 1..N only: the positive-frequency
+    projector composed with the cutoff Q^N, exact when no mode of the sampled
+    function aliases onto bins 1..N."""
     spectrum = np.fft.fft(samples) / samples.size
     return spectrum[1 : n_modes + 1].copy()
-
-
-def to_grid(state: SpectralState, grid_size: int) -> GridField:
-    """Sample the field on the equispaced M-point grid (exact synthesis)."""
-    if grid_size < state.n_modes + 1:
-        raise ValueError(
-            f"grid_size {grid_size} too small for {state.n_modes} modes "
-            f"(need at least n_modes + 1)"
-        )
-    return GridField(_synthesize(state.coeffs, grid_size))
-
-
-def from_grid(fieldv: GridField, n_modes: int, sigma: int = 0) -> SpectralState:
-    """Extract modes 1..N of the sampled function.
-
-    Modes k <= 0 and k > N are discarded, i.e. this realizes the
-    positive-frequency projector composed with the cutoff Q^N.  The caller
-    must supply a grid fine enough that no mode of the sampled function
-    aliases onto bins 1..N.
-    """
-    if n_modes < 1:
-        raise ValueError("n_modes must be >= 1")
-    if n_modes > fieldv.grid_size - 1:
-        raise ValueError(
-            f"cannot extract {n_modes} modes from a {fieldv.grid_size}-point grid"
-        )
-    return SpectralState(sigma, _analyze(fieldv.samples, n_modes))
 
 
 def _next_fast_len(target: int) -> int:

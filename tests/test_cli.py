@@ -233,11 +233,14 @@ def test_simulate_step_failure_record_on_stderr(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, code, error_type, records", [
     (["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e104",
       "--momentum-target", "1e104", "--max-iter", "5", "--n-starts", "1"],
-     2, "numerical", ["header", "error"]),  # the multiplier fit overflows below the quartic bound
+     1, "validation", []),  # the squared cubic gradient would overflow in the descent
     (["wave-residual", "--init", "psi_k:3", "--speed", "1e308", "--omega", "1e308"],
      2, "numerical", ["header", "error"]),  # an infinite residual reaches the stream
     (["simulate", "--sigma", "1", "--n-modes", "4", "--init", "two_mode:nan:1:2"],
      1, "validation", []),  # a non-finite amplitude is rejected before the header
+    (["minimize", "--sigma", "1", "--n-modes", "4", "--mass-target", "1e250",
+      "--momentum-target", "1e250", "--max-iter", "5", "--n-starts", "1"],
+     1, "validation", []),  # E_1 sees no mode 1, but the misfit would cube |a| ~ 1e125
 ])
 def test_failures_end_in_json_without_traceback(tmp_path, argv, code, error_type, records):
     # a child process: these inputs raise numpy RuntimeWarnings, which fail tests in-process
@@ -283,6 +286,31 @@ def test_minimize_target_overflow_rejected_before_header(tmp_path, capsys):
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation"
     assert "mass target 1e+300" in err["message"] and "momentum target 2e+300" in err["message"]
+
+
+def test_minimize_projection_stall_target_runs(tmp_path):
+    # the projection line search used to stall at a 5.2e-13 residual here (exit 2)
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "6.25e7",
+                 "--momentum-target", "1e8", "--out", str(out)]) == 0
+    rec = by_kind(read_records(out), "minimizer")[0]
+    assert max(rec["constraint_violation"]) <= 1e-12
+
+
+@pytest.mark.parametrize("p_star", ["1e8", "1e20", "1e100", "1e102", "1e104", "1e110"])
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_minimize_huge_targets_run_or_fail_validation(tmp_path, capsys, n, sigma, p_star):
+    # each run ends with a minimizer record, or is refused before the header; never numerical
+    out = tmp_path / "min.jsonl"
+    code = main(["minimize", "--sigma", str(sigma), "--n-modes", str(n),
+                 "--mass-target", repr(float(p_star) / 2), "--momentum-target", p_star,
+                 "--max-iter", "5", "--n-starts", "1", "--out", str(out)])
+    if code == 0:
+        assert [r["record"] for r in read_records(out)] == ["header", "minimizer"]
+    else:
+        assert code == 1 and read_records(out) == []
+        assert _stderr_error(capsys)["error_type"] == "validation"
 
 
 @pytest.mark.parametrize("sigma, mass, momentum", [

@@ -55,8 +55,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(sample_every=0)
     with pytest.raises(ValueError):
-        StepperConfig(midpoint_tol=1e-16)
-    with pytest.raises(ValueError):
         StepperConfig(dt=0.3, t_end=1.0).n_steps()  # not an integer step count
 
 
@@ -110,10 +108,7 @@ def test_a1_conserved_sigma1():
 
 
 def test_midpoint_conserves_quadratic_invariants():
-    cfg = StepperConfig(
-        scheme="implicit_midpoint", dt=1e-3, t_end=1.0,
-        sample_every=500, midpoint_tol=1e-13,
-    )
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-3, t_end=1.0, sample_every=500)
     st = seeded_state(0, 16, 5, amplitude=0.1)
     traj = simulate(st, cfg)
     e = np.array([r.energy for r in traj.reports])
@@ -126,10 +121,7 @@ def test_midpoint_conserves_quadratic_invariants():
 
 def test_midpoint_non_convergence_reports_diagnostics():
     # a huge step makes the fixed-point map expansive
-    cfg = StepperConfig(
-        scheme="implicit_midpoint", dt=50.0, t_end=50.0,
-        sample_every=1, midpoint_max_iter=5,
-    )
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=50.0, t_end=50.0, sample_every=1)
     st = seeded_state(0, 8, 0, amplitude=2.0)
     with pytest.raises(StepFailure) as info:
         step(st, cfg, t=0.0)
@@ -147,10 +139,7 @@ def test_midpoint_non_convergence_with_memory_reports_diagnostics():
     for i in range(3):
         st = step(st, small, i * 1e-4, memory)
     assert len(memory.slopes) == 3
-    cfg = StepperConfig(
-        scheme="implicit_midpoint", dt=50.0, t_end=50.0,
-        sample_every=1, midpoint_max_iter=5,
-    )
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=50.0, t_end=50.0, sample_every=1)
     with pytest.raises(StepFailure, match=r"dt = 50 is too large for this state, reduce it") as info:
         step(st, cfg, t=0.0, memory=memory)
     assert 1 <= info.value.iterations <= 5

@@ -62,6 +62,18 @@ def test_projection_seeded_targets(seed):
     assert abs(momentum(proj) - 3.0) / 3.0 <= 1e-10
 
 
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("p_star", [6.25e7, 1e8, 1e20, 1e100])
+def test_projection_far_from_the_start_scale(n, p_star):
+    # Newton from alpha = beta = 0 on the unit-scale start used to stall here:
+    # 1 + alpha cancelled, and P* = 1e20 already left the residual at 1.414
+    st = seeded_state(0, n, 0, decay=1.0, amplitude=1.0)
+    target = ConstraintTarget(mass_target=p_star / 2, momentum_target=p_star)
+    proj = project_to_constraints(st, target)
+    assert abs(mass(proj) - p_star / 2) / (p_star / 2) <= 1e-12
+    assert abs(momentum(proj) - p_star) / p_star <= 1e-12
+
+
 def test_projection_single_constraint_modes():
     st = seeded_state(0, 6, 2)
     pm = project_to_constraints(st, ConstraintTarget(momentum_target=5.0, mode="momentum_only"))

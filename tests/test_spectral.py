@@ -5,18 +5,15 @@ import pytest
 
 from filament.spectral import (
     SpectralState,
-    GridField,
-    apply_multiplier,
-    to_grid,
-    from_grid,
     dealiased_grid_size,
     seeded_state,
     state_from_dict,
     state_to_dict,
     write_snapshot,
     read_snapshot,
+    _analyze,
     _next_fast_len,
-    MULTIPLIER_SYMBOLS,
+    _synthesize,
 )
 from filament.nonlinearity import _trunc_constants
 
@@ -34,106 +31,36 @@ def test_state_validation():
         st.coeffs[0] = 5.0  # frozen array
 
 
-def test_multiplier_lambda_single_mode():
-    st = SpectralState(0, [0.0, 1.0, 0.0])
-    out = apply_multiplier(st, "lambda")
-    assert np.array_equal(out.coeffs, [0.0, 2.0, 0.0])
+def test_synthesize_quarter_points():
+    samples = _synthesize(np.array([1.0 + 0j]), 4)
+    assert np.allclose(samples, [1.0, 1j, -1.0, -1j], atol=1e-15)
 
 
-def test_multiplier_q_cutoff():
-    st = SpectralState(0, [1.0, 1.0])
-    out = apply_multiplier(st, "q_cutoff", cutoff=1)
-    assert np.array_equal(out.coeffs, [1.0, 0.0])
-
-
-def test_multiplier_inverse_pair():
-    st = SpectralState(0, [0.0, 0.0, 1.0])
-    out = apply_multiplier(apply_multiplier(st, "lambda_inv"), "lambda")
-    assert np.allclose(out.coeffs, st.coeffs, atol=1e-15)
-
-
-def test_multiplier_inverse_pair_random():
-    st = seeded_state(1, 17, 4)
-    out = apply_multiplier(apply_multiplier(st, "lambda"), "lambda_inv")
-    assert np.allclose(out.coeffs, st.coeffs, rtol=1e-15, atol=0)
-
-
-def test_multiplier_d_x():
-    st = SpectralState(0, [1.0, 1.0, 1.0])
-    out = apply_multiplier(st, "d_x")
-    assert np.allclose(out.coeffs, [1j, 2j, 3j])
-
-
-@pytest.mark.parametrize("which", ["lambda", "lambda_inv", "d_x"])
-def test_multiplier_matches_per_mode_symbols(which):
-    st = seeded_state(0, 64, 3)
-    symbol = MULTIPLIER_SYMBOLS[which]
-    expect = np.array([symbol(int(k)) for k in st.modes]) * st.coeffs
-    got = apply_multiplier(st, which).coeffs
-    assert got.tobytes() == expect.tobytes()
-
-
-def test_multiplier_unknown_id():
-    with pytest.raises(ValueError):
-        apply_multiplier(SpectralState(0, [1.0]), "gradient")
-    with pytest.raises(ValueError):
-        apply_multiplier(SpectralState(0, [1.0]), "q_cutoff")  # missing cutoff
-
-
-def test_to_grid_quarter_points():
-    st = SpectralState(0, [1.0])
-    field = to_grid(st, 4)
-    assert np.allclose(field.samples, [1.0, 1j, -1.0, -1j], atol=1e-15)
-
-
-def test_to_grid_zero_state():
-    st = SpectralState(0, np.zeros(5))
-    assert np.allclose(to_grid(st, 16).samples, 0.0)
-
-
-def test_to_grid_matches_direct_evaluation():
-    st = SpectralState(0, [0.0, 1.0])
+def test_synthesize_matches_direct_evaluation():
     x = 2.0 * np.pi * np.arange(8) / 8
-    assert np.allclose(to_grid(st, 8).samples, np.exp(2j * x), atol=1e-14)
-
-
-def test_to_grid_size_check():
-    with pytest.raises(ValueError):
-        to_grid(SpectralState(0, [1.0, 1.0, 1.0]), 3)
+    assert np.allclose(_synthesize(np.array([0.0, 1.0 + 0j]), 8), np.exp(2j * x), atol=1e-14)
 
 
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("n", [1, 2, 7, 32])
 def test_round_trip_exact(seed, n):
     st = seeded_state(seed % 2, n, seed, amplitude=1.0)
-    back = from_grid(to_grid(st, 4 * n), n, sigma=st.sigma)
-    err = np.max(np.abs(back.coeffs - st.coeffs)) / np.max(np.abs(st.coeffs))
+    back = _analyze(_synthesize(st.coeffs, 4 * n), n)
+    err = np.max(np.abs(back - st.coeffs)) / np.max(np.abs(st.coeffs))
     assert err <= 1e-13
 
 
-def test_from_grid_projects_negative_modes():
+def test_analyze_projects_negative_modes():
     # 2cos x = e^{ix} + e^{-ix}: the negative half must be discarded
     x = 2.0 * np.pi * np.arange(8) / 8
-    field = GridField(2.0 * np.cos(x))
-    st = from_grid(field, 1)
-    assert np.allclose(st.coeffs, [1.0], atol=1e-14)
+    assert np.allclose(_analyze(2.0 * np.cos(x), 1), [1.0], atol=1e-14)
 
 
-def test_from_grid_shape_check():
-    field = GridField(np.ones(4))
-    with pytest.raises(ValueError):
-        from_grid(field, 4)
-    with pytest.raises(ValueError):
-        from_grid(field, 0)
-
-
-def test_from_grid_triple_product_matches_brute_force():
+def test_analyze_triple_product_matches_brute_force():
     a = np.array([1.0, 1.0], dtype=complex)
-    st = SpectralState(0, a)
-    m = dealiased_grid_size(2)
-    u = to_grid(st, m).samples
-    cubic = from_grid(GridField(np.abs(u) ** 2 * u), 3)
-    assert np.allclose(cubic.coeffs, triple_product_coeffs(a, 3), atol=1e-13)
+    u = _synthesize(a, dealiased_grid_size(2))
+    cubic = _analyze(np.abs(u) ** 2 * u, 3)
+    assert np.allclose(cubic, triple_product_coeffs(a, 3), atol=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -143,10 +70,8 @@ def test_product_equals_linear_convolution(seed):
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     m = dealiased_grid_size(n)
-    ua = to_grid(SpectralState(0, a), m).samples
-    ub = to_grid(SpectralState(0, b), m).samples
     # the product lives on modes 2..2n; analysis keeps 1..2n: mode 1 empty
-    got = from_grid(GridField(ua * ub), 2 * n).coeffs
+    got = _analyze(_synthesize(a, m) * _synthesize(b, m), 2 * n)
     expect = np.concatenate([[0.0], convolution_brute_force(a, b)])
     assert np.allclose(got, expect, atol=1e-12 * np.max(np.abs(expect)))
 
