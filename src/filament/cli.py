@@ -28,7 +28,9 @@ from .spectral import (
 )
 from .nonlinearity import (
     _CONV_MAX_N,
+    _TOEPLITZ_MAX_N,
     _c_sigma_trunc_raw,
+    _rhs_raw,
     c_sigma_direct,
     c_sigma_unsym,
     c_sigma_fast,
@@ -76,8 +78,9 @@ _CONVENTION = {
     "lambda_symbol": "|k|",
     "momentum": "2*pi*sum |a_k|^2",
     "mass": "2*pi*sum |a_k|^2/k",
-    "dealiasing": (f"RHS modes 1..N only: exact convolution for N <= {_CONV_MAX_N}, "
-                   "else grids >= 2*N-1; full C_sigma on grids >= 4*N"),
+    "dealiasing": (f"RHS modes 1..N only: one Toeplitz mat-vec for N <= {_TOEPLITZ_MAX_N}, "
+                   f"exact convolution for N <= {_CONV_MAX_N}, else grids >= 2*N-1; "
+                   "full C_sigma on grids >= 4*N"),
 }
 
 # exception class -> (error_type, exit code), as main and the streams report them
@@ -306,12 +309,13 @@ def _verify_rows(seed: int):
             if sigma == 1:
                 yield (f"sigma=1 mode-1 output seed={seed + i}", float(np.abs(ref[0])), 1e-14)
 
-    # the FFT branch of the truncated kernel; sigma = 1 runs it on modes 2..N
-    n_fft = _CONV_MAX_N + 2
-    for sigma in (0, 1):
-        state = seeded_state(sigma, n_fft, seed)
-        yield (f"route trunc N={n_fft} sigma={sigma} seed={seed}",
-               _trunc_deviation(state, c_sigma_direct(state).coeffs_full), 1e-12)
+    # the convolution and FFT branches of the truncated kernel (N = 32 runs the
+    # Toeplitz one); sigma = 1 runs each on modes 2..N
+    for n in (_TOEPLITZ_MAX_N + 1, _CONV_MAX_N + 2):
+        for sigma in (0, 1):
+            state = seeded_state(sigma, n, seed)
+            yield (f"route trunc N={n} sigma={sigma} seed={seed}",
+                   _trunc_deviation(state, c_sigma_direct(state).coeffs_full), 1e-12)
 
     for sigma in (0, 1):
         for k in (1, 2, 3, 5, 8):
@@ -335,8 +339,9 @@ def _verify_rows(seed: int):
             yield (f"pairing sigma={sigma} seed={seed + 10 + i}",
                    pairing_check(state) / (1.0 + abs(es)), 1e-10)
 
-    # the per-sample energy (pairing on the truncated kernel) on both kernel branches
-    for n in (32, n_fft):
+    # the per-sample energy (pairing on the truncated kernel) on the Toeplitz and
+    # FFT branches of the kernel
+    for n in (32, _CONV_MAX_N + 2):
         for sigma in (0, 1):
             state = seeded_state(sigma, n, seed + 20)
             es = energy_spectral(state)
@@ -470,15 +475,19 @@ def cmd_bench(args, writer) -> int:
         t_direct = best_time(c_sigma_direct)
         t_fast = best_time(c_sigma_fast)
         t_trunc = best_time(lambda s: _c_sigma_trunc_raw(s.coeffs, s.sigma))
+        t_rhs = best_time(lambda s: _rhs_raw(s.coeffs, s.sigma))
         ref = c_sigma_direct(state).coeffs_full
         dev = _rel_deviation(c_sigma_fast(state).coeffs_full, ref)
         dev_trunc = _trunc_deviation(state, ref)
-        worst = max(worst, dev, dev_trunc)
+        # the RHS against i*p times the direct sum, on the scale of C: the grid's
+        # rounding error is flat in p, so relative to max |i*p*C| it grows with N
+        dev_rhs = _rel_deviation(_rhs_raw(state.coeffs, state.sigma) / (1j * state.modes), ref[:n])
+        worst = max(worst, dev, dev_trunc, dev_rhs)
         writer.emit({
             "record": "bench", "N": n,
-            "t_direct": t_direct, "t_fast": t_fast, "t_trunc": t_trunc,
+            "t_direct": t_direct, "t_fast": t_fast, "t_trunc": t_trunc, "t_rhs": t_rhs,
             "speedup": t_direct / t_fast, "max_deviation": dev,
-            "trunc_deviation": dev_trunc,
+            "trunc_deviation": dev_trunc, "rhs_deviation": dev_rhs,
         })
     writer.emit({"record": "summary", "max_deviation": worst, "pass": bool(worst <= 1e-11)})
     return EXIT_OK if worst <= 1e-11 else EXIT_NUMERICAL
@@ -595,9 +604,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hs", type=_sobolev_exponent, nargs="*", default=[0.5, 1.0, 1.5])
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes")
+    p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes and the RHS")
     _add_common(p)
-    # 256 lies above _CONV_MAX_N, so the truncated kernel's FFT branch is timed too
+    # 16 and 32 take the Toeplitz branch of the truncated kernel, 64 the
+    # convolution (above _TOEPLITZ_MAX_N) and 256 the FFT (above _CONV_MAX_N)
     p.add_argument("--sizes", type=_positive_int, nargs="+", default=[16, 32, 64, 256])
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.set_defaults(func=cmd_bench)

@@ -5,9 +5,11 @@ The evolution is the coefficient ODE
     da_p/dt = i p [Q^N C_sigma(Q^N u)]_p,      p = 1..N,
 
 i.e. the sharp Galerkin regularization of du/dt = d/dx C_sigma[u].  The
-right-hand side needs modes 1..N of C_sigma only, so it is computed by exact
-convolution at small N and on a grid of at least 2N - 1 points above (see
-``filament.nonlinearity``), not on the 4N grid of the full support.  Two
+right-hand side needs modes 1..N of C_sigma only, so it is computed by one
+Toeplitz mat-vec with i p folded into its cached weight up to
+``_TOEPLITZ_MAX_N``, by exact convolution up to ``_CONV_MAX_N`` and on a
+grid of at least 2N - 1 points above (see ``filament.nonlinearity``), never
+on the 4N grid of the full support.  Two
 steppers are provided: classical explicit RK4 and the implicit midpoint
 rule (solved by plain fixed-point iteration; the right-hand side is cubic
 and cheap, so Newton is unnecessary at desk scale).  The midpoint rule
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .spectral import SpectralState, p_norm
-from .nonlinearity import _c_sigma_trunc_raw, _trunc_constants
+from .nonlinearity import _rhs_raw
 from .invariants import InvariantReport, invariant_report
 
 __all__ = [
@@ -146,10 +148,6 @@ def sample_record(t: float, report: InvariantReport) -> dict:
     return rec
 
 
-def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
-    return _trunc_constants(a.size).ik * _c_sigma_trunc_raw(a, sigma)
-
-
 def rhs(state: SpectralState) -> SpectralState:
     """Right-hand side of the coefficient ODE: i*p*[Q^N C_sigma(u)]_p."""
     return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma))
@@ -160,7 +158,11 @@ def _rk4_step(a, dt, sigma):
     k2 = _rhs_raw(a + 0.5 * dt * k1, sigma)
     k3 = _rhs_raw(a + 0.5 * dt * k2, sigma)
     k4 = _rhs_raw(a + dt * k3, sigma)
-    return a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 += k3  # k1 + 2 k2 + 2 k3 + k4 in place: 6 array operations, not 7
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    return a + (dt / 6.0) * k2
 
 
 class StepMemory:

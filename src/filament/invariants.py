@@ -39,8 +39,9 @@ pairing the gradient identity with u gives
 which :func:`pairing_check` verifies numerically.  The pairing needs modes
 1..N of C_sigma only, so E = 4 Re <a, Q^N C_sigma a> is also an exact
 energy route on the truncated kernel of ``filament.nonlinearity``
-(O(N log N), exact products below ``_CONV_MAX_N``): that is the per-sample
-energy of :func:`invariant_report`; the layer cake stays the reference.
+(O(N log N); exact products up to ``_CONV_MAX_N``, one Toeplitz mat-vec up
+to ``_TOEPLITZ_MAX_N``): that is the per-sample energy of
+:func:`invariant_report`; the layer cake stays the reference.
 """
 
 from __future__ import annotations

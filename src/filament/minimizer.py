@@ -11,10 +11,13 @@ and M are diagonal quadratic forms the metric projection onto the
 constraint set takes the closed form b_k = a_k / (1 + alpha + beta/k),
 with the two scalars pinned by a 2-d Newton iteration on the constraint
 equations.  The step length comes from an Armijo backtracking line search
-set by the module constants ``_STEP0`` (first step), ``_ARMIJO`` (sufficient
-decrease), ``_BACKTRACK`` (shrink factor, at most ``_MAX_BACKTRACKS`` times)
-and ``_GROW`` (growth after an accepted step).  A first-order point
-satisfies the stationarity condition
+set by the module constants ``_STEP0`` (first step), ``_MAX_STEP`` (largest
+step), ``_ARMIJO`` (sufficient decrease), ``_BACKTRACK`` (shrink factor, at
+most ``_MAX_BACKTRACKS`` times) and ``_GROW`` (growth after an accepted
+step).  The gradient is cubic in a, so a useful step scales like 1/P:
+``_STEP0`` and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P* (by
+2 pi/P of the projected start under the mass constraint alone).  A
+first-order point satisfies the stationarity condition
 
     (4/pi) C_p = lambda a_p / p + mu a_p,
 
@@ -52,7 +55,8 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _BOUNDARY_RTOL = 1e-12
 
-_STEP0 = 0.05
+_STEP0 = 0.05  # at P = 2 pi, like _MAX_STEP; _descend scales both by 2 pi/P
+_MAX_STEP = 1e3
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _GROW = 1.3
@@ -315,7 +319,10 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
     a = _project_raw(a0, target)
     energy, cubic = _energy_and_gradient(a, sigma)
     history = [energy]
-    step = _STEP0
+    # mass_only leaves P free; the projected start's P sets the scale
+    p_scale = p_norm(a) ** 2 if target.mode == "mass_only" else target.momentum_target
+    step0, max_step = _STEP0 * (_TWO_PI / p_scale), _MAX_STEP * (_TWO_PI / p_scale)
+    step = step0
     grad_norm = np.inf
     iterations = 0
     converged = False
@@ -339,14 +346,14 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
             if e_trial <= energy - _ARMIJO * step * slope:
                 a, energy, cubic = trial, e_trial, c_trial
                 history.append(energy)
-                step = min(step * _GROW, 1e3)
+                step = min(step * _GROW, max_step)
                 accepted = True
                 break
             step *= _BACKTRACK
         if not accepted:
             # no descent direction left at rounding scale: treat as stationary
             stall += 1
-            step = _STEP0
+            step = step0
             if stall >= 2:
                 break
     lam, mu, _, el_rel = _fit_multipliers(a, cubic)

@@ -27,13 +27,22 @@ For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 first N entries (the sharp-cutoff Galerkin nonlinearity).
 
 One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..n_out of the
-physical-space identity.  The flow and the minimizer need only modes 1..N:
-up to ``_CONV_MAX_N`` modes these come from exact products of coefficient
-sequences (O(N^2), no grid), above that from the one FFT-grid body on
-M >= 2N - 1 points, where modes 1..N of the cubic product are alias-free.
-``c_sigma_fast`` runs the same body with n_out = 2N - 1 on the 4N grid
-(the full support would need M >= 3N - 2).  Both reduce sigma = 1 to
-sigma = 0 by the same index shift.
+operator.  The flow and the minimizer need only modes 1..N, in one of three
+forms by bandwidth:
+
+- N <= ``_TOEPLITZ_MAX_N``: the unsymmetrized triple sum as one Toeplitz
+  mat-vec, C_p = sum_k W[p, k] c_{p-k} a_k with c = |u|^2 on modes
+  1-N..N-1 and the cached weight W = k - |k-p| - sigma (``_toeplitz_raw``;
+  ``_rhs_raw``, the right-hand side of the flow, folds i p into a second
+  cached weight);
+- up to ``_CONV_MAX_N``: exact products of coefficient sequences (O(N^2)
+  numpy convolutions, no grid);
+- above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
+  the cubic product are alias-free.
+
+``c_sigma_fast`` runs the same FFT body with n_out = 2N - 1 on the 4N grid
+(the full support would need M >= 3N - 2).  Every form reduces sigma = 1 to
+sigma = 0 on a_2..a_N by the same index shift.
 """
 
 from __future__ import annotations
@@ -117,6 +126,57 @@ def _c_sigma_direct_raw(a: np.ndarray, sigma: int, weight=_min_weight) -> np.nda
 _CONV_MAX_N = 160
 
 
+# Crossover from the Toeplitz mat-vec to the convolutions.  Interleaved
+# in-process best-of-40 timings of the right-hand side, each pair measured
+# together (numpy 2.4 with OpenBLAS, 2 vCPUs, sigma = 0 and 1), read 6.9-7.2
+# against 10.8-11.8 us at N = 32, 14.6-15.4 against 19.5-22.5 us at N = 48 and
+# 12.1-12.6 against 13.9-15.4 us at N = 56; a prototype of the same mat-vec
+# read 20.5-25.0 against 15.7-16.6 us at N = 64, where the N x N work arrays
+# stop being cheap.
+_TOEPLITZ_MAX_N = 56
+
+
+_Toeplitz = namedtuple("_Toeplitz", "index weight rhs_weight")
+
+
+@functools.lru_cache(maxsize=128)
+def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
+    """Per-(N, sigma) constants of the Toeplitz mat-vec, read-only: the
+    index of c_{p-k} in ``np.correlate``'s output, the weight W and i p W,
+    W[p, k] = k - |k-p| - sigma.  At sigma = 1 c comes from a_2..a_N and
+    column k = 1 is 0; row p = 1 is 0 by the formula.  Both weights are
+    complex128, so the in-place product never casts."""
+    p = np.arange(1, n + 1)[:, None]
+    k = np.arange(1, n + 1)
+    # p - k + N - 1 indexes c_{p-k} on s = 1-N..N-1; a_2..a_N shift it by one,
+    # and the entries of the zero column and row are clipped into range
+    index = np.clip(p - k + (n - 1 - sigma), 0, 2 * (n - sigma) - 2)
+    weight = (k - np.abs(k - p) - sigma).astype(np.complex128)
+    weight[:, :sigma] = 0.0
+    consts = _Toeplitz(index, weight, 1j * p * weight)
+    for arr in consts:
+        arr.flags.writeable = False
+    return consts
+
+
+def _toeplitz_raw(a: np.ndarray, sigma: int, rhs: bool = False) -> np.ndarray:
+    """Modes 1..N of C_sigma, or of i p C_sigma with ``rhs``, for N > sigma
+    (the callers take it up to ``_TOEPLITZ_MAX_N``).
+
+    One Toeplitz mat-vec: c_s = sum_{l-m=s} a_l conj(a_m) is |u|^2, and
+    C_p = sum_k W[p, k] c_{p-k} a_k is the unsymmetrized triple sum.  At
+    sigma = 1 every term with an index 1 is dropped (its symmetrized weight
+    min(k,l,m,p) - 1 is 0), so a_1 never enters and the output on mode 1 is
+    exactly 0; keeping those terms would cancel them in rounding, which
+    loses digits when a_1 dominates.
+    """
+    index, weight, rhs_weight = _toeplitz_constants(a.size, sigma)
+    b = a[sigma:]
+    t = np.correlate(b, b, "full")[index]
+    t *= rhs_weight if rhs else weight
+    return t.dot(a)
+
+
 _TruncConstants = namedtuple("_TruncConstants", "k absd absf m ik")
 
 
@@ -183,6 +243,9 @@ def _c_sigma_trunc_raw(a: np.ndarray, sigma: int, n_out: int | None = None) -> n
     n = a.size
     if n_out is None:
         n_out = n
+    # at N = 1, sigma = 1 the mat-vec has nothing to correlate; the output is 0
+    if n_out == n and sigma < n <= _TOEPLITZ_MAX_N:
+        return _toeplitz_raw(a, sigma)
     if sigma == 0:
         return _c_zero_raw(a, n_out)
     out = np.zeros(n_out, dtype=np.complex128)
@@ -191,6 +254,16 @@ def _c_sigma_trunc_raw(a: np.ndarray, sigma: int, n_out: int | None = None) -> n
         inner = n - 1 if n_out == n else 2 * n - 3
         out[1 : inner + 1] = _c_zero_raw(a[1:], inner)
     return out
+
+
+def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+    """i p [Q^N C_sigma]_p, the right-hand side of the truncated flow: the
+    Toeplitz mat-vec with i p folded into its weight on the branch where
+    ``_c_sigma_trunc_raw`` takes it, else i p times that kernel."""
+    n = a.size
+    if sigma < n <= _TOEPLITZ_MAX_N:
+        return _toeplitz_raw(a, sigma, rhs=True)
+    return _trunc_constants(n).ik * _c_sigma_trunc_raw(a, sigma)
 
 
 def c_sigma_direct(state: SpectralState) -> NonlinearityResult:

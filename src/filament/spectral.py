@@ -182,10 +182,10 @@ def write_snapshot(state: SpectralState, path) -> None:
     sits in the target directory, so ``os.replace`` stays a rename."""
     directory, name = os.path.split(os.fspath(path))
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    text = json.dumps(state_to_dict(state)) + "\n"  # one write, not json.dump's many
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state_to_dict(state), fh)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
+from filament.nonlinearity import _CONV_MAX_N, _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
 
 
@@ -386,6 +387,12 @@ def test_verify_passes(tmp_path):
     assert len(checks) > 50
     assert all(c["pass"] for c in checks)
     assert by_kind(records, "summary")[0]["failures"] == 0
+    # each branch of the truncated kernel keeps a row for each sigma: Toeplitz,
+    # convolution (sigma = 1 runs N - 1 modes) and FFT
+    names = {c["name"] for c in checks}
+    for n in (32, _TOEPLITZ_MAX_N + 1, _CONV_MAX_N + 2):
+        for sigma in (0, 1):
+            assert f"route trunc N={n} sigma={sigma} seed=0" in names
 
 
 def test_minimize_equality_target(tmp_path):
@@ -448,6 +455,9 @@ def test_bench_small(tmp_path):
     assert all(r["max_deviation"] <= 1e-11 for r in rows)
     assert all(r["t_direct"] > 0 and r["t_fast"] > 0 for r in rows)
     assert all(r["t_trunc"] > 0 and r["trunc_deviation"] <= 1e-12 for r in rows)
+    assert all(r["t_rhs"] > 0 and r["rhs_deviation"] <= 1e-12 for r in rows)
+    summary = by_kind(read_records(out), "summary")[0]
+    assert summary["pass"] and summary["max_deviation"] >= max(r["rhs_deviation"] for r in rows)
 
 
 def test_selftest(tmp_path):

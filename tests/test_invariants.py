@@ -14,6 +14,7 @@ from filament.invariants import (
     energy_gradient_check,
     invariant_report,
 )
+from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.waves import make_psi_k
 
 from oracles import energy_brute_force
@@ -258,9 +259,11 @@ def test_invariant_report_fields():
     assert set(rec) == {"E", "P", "M", "a1_re", "a1_im", "H0", "H1"}
 
 
-# 160/161/162 straddle the kernel's convolution/FFT crossover; sigma = 1 runs
-# the shifted size N - 1, so 161 is its last convolution case
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 160, 161, 162, 256, 512])
+# _TOEPLITZ_MAX_N and the next size straddle the kernel's Toeplitz/convolution
+# crossover, 160/161/162 its convolution/FFT one; sigma = 1 runs the shifted
+# size N - 1 on the convolution, so 161 is its last convolution case
+@pytest.mark.parametrize("n", [1, 2, 3, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
+                               160, 161, 162, 256, 512])
 @pytest.mark.parametrize("sigma", [0, 1])
 @pytest.mark.parametrize("seed", range(3))
 def test_invariant_report_energy_matches_spectral(n, sigma, seed):

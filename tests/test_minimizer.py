@@ -181,6 +181,19 @@ def test_minimize_truncation_consistency():
     assert abs(e_small - e_large) <= 1e-4
 
 
+def test_minimize_descends_at_a_large_target():
+    # the first Armijo step scales like 1/P*: from P* = 1e20 an unscaled one
+    # never passed the test, and the projected random start (E/P*^2 = 0.414)
+    # came back after 0 accepted steps
+    p_star = 1e20
+    result = minimize_energy(0, 16, ConstraintTarget(mass_target=5e19, momentum_target=p_star),
+                             opts=MinimizeOptions(n_starts=1))
+    assert len(result.energy_history) > 1
+    # the minimum that P* = 2 pi and 1e8 reach
+    assert abs(result.energy / p_star**2 - 0.2026) <= 1e-3
+    assert max(result.constraint_violation) <= 1e-10
+
+
 def test_minimize_infeasible_target_rejected():
     with pytest.raises(ValueError):
         minimize_energy(0, 8, ConstraintTarget(mass_target=TWO_PI, momentum_target=np.pi))

@@ -4,8 +4,10 @@ import pytest
 from filament.spectral import SpectralState, seeded_state
 from filament.nonlinearity import (
     _CONV_MAX_N,
+    _TOEPLITZ_MAX_N,
     _c_sigma_direct_raw,
     _c_sigma_trunc_raw,
+    _toeplitz_constants,
     c_sigma_direct,
     c_sigma_unsym,
     c_sigma_fast,
@@ -85,9 +87,10 @@ def test_fast_route_matches_direct_on_seeded_states(n, sigma):
             assert got[0] == 0.0
 
 
-# both branches of the truncated kernel, for each sigma: sigma = 1 runs the
-# sigma = 0 kernel on N - 1 modes, hence crossover + 2
-TRUNC_SIZES = [1, 2, 3, 17, _CONV_MAX_N, _CONV_MAX_N + 1, _CONV_MAX_N + 2, 128, 200]
+# the three branches of the truncated kernel, for each sigma: sigma = 1 runs
+# the convolution and the FFT on N - 1 modes, hence crossover + 2
+TRUNC_SIZES = [1, 2, 3, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
+               _CONV_MAX_N, _CONV_MAX_N + 1, _CONV_MAX_N + 2, 128, 200]
 
 
 @pytest.mark.parametrize("n", TRUNC_SIZES)
@@ -101,6 +104,30 @@ def test_truncated_kernel_matches_direct(n, sigma):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         if sigma == 1:
             assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 200])
+def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
+    # E_1 does not see mode 1: however large a_1 is, the output is that of
+    # a_2..a_N, to the same relative accuracy
+    rng = np.random.default_rng(n)
+    a = 1e-5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.arange(1, n + 1)
+    a[0] = 1.0
+    ref = _c_sigma_direct_raw(a, 1)[:n]
+    got = _c_sigma_trunc_raw(a, 1)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, _TOEPLITZ_MAX_N])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_toeplitz_constants_are_read_only(n, sigma):
+    consts = _toeplitz_constants(n, sigma)
+    for arr in consts:
+        assert not arr.flags.writeable
+    assert consts.weight.dtype == consts.rhs_weight.dtype == np.complex128
+    with pytest.raises(ValueError):
+        consts.weight[0, 0] = 1.0
 
 
 def test_quadrature_minimum_resolution_is_exact():

@@ -123,6 +123,15 @@ def test_snapshot_round_trip(tmp_path):
     assert np.array_equal(back.coeffs, st.coeffs)
 
 
+def test_snapshot_file_bytes_are_pinned(tmp_path):
+    # one json.dumps line: signed zeros, subnormal-range exponents and the
+    # separators stay exactly as restarts and other readers see them
+    path = tmp_path / "state.json"
+    write_snapshot(SpectralState(1, [complex(-0.0, -0.0), 1e-300 - 2.5j, -3.0 + 0.0j]), path)
+    assert path.read_bytes() == (
+        b'{"sigma": 1, "n_modes": 3, "coeffs": [[-0.0, -0.0], [1e-300, -2.5], [-3.0, 0.0]]}\n')
+
+
 def test_snapshot_rejects_wrong_length(tmp_path):
     record = state_to_dict(seeded_state(0, 4, 1))
     record["n_modes"] = 5
