@@ -26,9 +26,8 @@ For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
 first N entries (the sharp-cutoff Galerkin nonlinearity).
 
-One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..n_out of the
-operator.  The flow and the minimizer need only modes 1..N, in one of three
-forms by bandwidth:
+One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..N of the
+operator for bandwidth-N input, in one of three forms by N:
 
 - N <= ``_TOEPLITZ_MAX_N``: the unsymmetrized triple sum as one Toeplitz
   mat-vec, C_p = sum_k W[p, k] c_{p-k} a_k with c = |u|^2 on modes
@@ -40,9 +39,10 @@ forms by bandwidth:
 - above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
   the cubic product are alias-free.
 
-``c_sigma_fast`` runs the same FFT body with n_out = 2N - 1 on the 4N grid
-(the full support would need M >= 3N - 2).  Every form reduces sigma = 1 to
-sigma = 0 on a_2..a_N by the same index shift.
+The flow and the minimizer call it on the state; ``c_sigma_fast`` calls it
+on the state zero-padded to 2N - 1 modes, whose modes 1..2N-1 are the whole
+support.  Every form reduces sigma = 1 to sigma = 0 on a_2..a_N by the same
+index shift.
 """
 
 from __future__ import annotations
@@ -194,22 +194,17 @@ def _trunc_constants(n: int) -> _TruncConstants:
     return consts
 
 
-def _c_zero_raw(a: np.ndarray, n_out: int) -> np.ndarray:
-    """Modes 1..n_out (N or 2N-1) of the sigma = 0 operator |u|^2 Lu - u L|u|^2.
+def _c_zero_raw(a: np.ndarray) -> np.ndarray:
+    """Modes 1..N of the sigma = 0 operator |u|^2 Lu - u L|u|^2.
 
-    Modes 1..N come from exact products of coefficient sequences up to
-    ``_CONV_MAX_N`` and from the 2N grid of ``_trunc_constants`` above;
-    all 2N-1 modes come from the 4N grid.  On an M-point grid the product
-    spans modes 2-N..2N-1, so modes 1..n_out are alias-free whenever
-    M >= N + n_out - 1 and M >= 2N - 1.
+    Exact products of coefficient sequences up to ``_CONV_MAX_N``, else the
+    grid of ``_trunc_constants``: the product spans modes 2-N..2N-1, so on
+    M >= 2N - 1 points modes 1..N are alias-free.
     """
     n = a.size
     k, absd, absf, m, _ = _trunc_constants(n)
     ka = k * a
-    if n_out != n:
-        m = dealiased_grid_size(n)
-        absf = np.arange(m // 2 + 1.0)
-    elif n <= _CONV_MAX_N:
+    if n <= _CONV_MAX_N:
         # c holds |u|^2 on modes 1-N..N-1, and "valid" keeps exactly modes 1..N
         c = np.correlate(a, a, "full")
         return np.convolve(c, ka, "valid") - np.convolve(absd * c, a, "valid")
@@ -226,33 +221,27 @@ def _c_zero_raw(a: np.ndarray, n_out: int) -> np.ndarray:
     lam_usq = np.fft.irfft(f, m)
     lam_u *= usq
     lam_u -= u * lam_usq
-    return np.fft.fft(lam_u, norm="forward")[1 : n_out + 1]
+    return np.fft.fft(lam_u, norm="forward")[1 : n + 1]
 
 
-def _c_sigma_trunc_raw(a: np.ndarray, sigma: int, n_out: int | None = None) -> np.ndarray:
-    """Q^n_out C_sigma: modes 1..n_out of the operator.
+def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+    """Q^N C_sigma: modes 1..N of the operator, for bandwidth-N input.
 
-    The default n_out = N is what the flow and the minimizer use; n_out =
-    2N-1 is the whole support, for ``c_sigma_fast``.  min(k,l,m,p) - 1 =
-    min(k-1, l-1, m-1, p-1) on the interaction set, and any shifted index
-    hitting 0 kills the weight, so the sigma = 1 operator is the sigma = 0
-    one acting on (a_2, ..., a_N) shifted up one mode.  This avoids
-    subtracting the nearly-cancelling |u|^2 u term and makes the vanishing
-    of the mode-1 output exact.
+    min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1) on the interaction set, and
+    any shifted index hitting 0 kills the weight, so the sigma = 1 operator
+    is the sigma = 0 one acting on (a_2, ..., a_N) shifted up one mode.
+    This avoids subtracting the nearly-cancelling |u|^2 u term and makes the
+    vanishing of the mode-1 output exact.
     """
     n = a.size
-    if n_out is None:
-        n_out = n
     # at N = 1, sigma = 1 the mat-vec has nothing to correlate; the output is 0
-    if n_out == n and sigma < n <= _TOEPLITZ_MAX_N:
+    if sigma < n <= _TOEPLITZ_MAX_N:
         return _toeplitz_raw(a, sigma)
     if sigma == 0:
-        return _c_zero_raw(a, n_out)
-    out = np.zeros(n_out, dtype=np.complex128)
+        return _c_zero_raw(a)
+    out = np.zeros(n, dtype=np.complex128)
     if n >= 2:
-        # the same output for bandwidth N - 1: its truncation or its full support
-        inner = n - 1 if n_out == n else 2 * n - 3
-        out[1 : inner + 1] = _c_zero_raw(a[1:], inner)
+        out[1:] = _c_zero_raw(a[1:])
     return out
 
 
@@ -288,19 +277,17 @@ def c_sigma_unsym(state: SpectralState) -> NonlinearityResult:
 
 
 def c_sigma_fast(state: SpectralState) -> NonlinearityResult:
-    """FFT route via |u|^2 Lu - u L|u|^2 on a 4N grid (L with symbol |k|
-    on the full signed spectrum of |u|^2): ``_c_sigma_trunc_raw`` with all
-    2N-1 output modes.
+    """Kernel route: ``_c_sigma_trunc_raw`` on the state zero-padded to
+    2N - 1 modes, whose truncation is the whole support of C_sigma.
 
-    The sigma = 1 case is reduced to sigma = 0 by the exact index shift
-    min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1), which sidesteps the
-    nearly-cancelling |u|^2 u subtraction.  Cost O(N log N); exact up to
-    rounding thanks to the de-aliasing margin.
+    Cost O(N^2) up to ``_CONV_MAX_N`` modes of the padded state and
+    O(N log N) above; exact up to rounding, and exactly 0 on mode 1 at
+    sigma = 1.
     """
     n = state.n_modes
-    return NonlinearityResult(
-        state.sigma, n, _c_sigma_trunc_raw(state.coeffs, state.sigma, 2 * n - 1)
-    )
+    padded = np.zeros(2 * n - 1, dtype=np.complex128)
+    padded[:n] = state.coeffs
+    return NonlinearityResult(state.sigma, n, _c_sigma_trunc_raw(padded, state.sigma))
 
 
 def _midpoint_nodes(n_quad: int) -> np.ndarray:

@@ -448,10 +448,10 @@ def test_invariants_report(tmp_path):
 
 def test_bench_small(tmp_path):
     out = tmp_path / "bench.jsonl"
-    code = main(["bench", "--sizes", "16", "32", "--repeats", "2", "--out", str(out)])
+    code = main(["bench", "--sizes", "1", "16", "32", "--repeats", "2", "--out", str(out)])
     assert code == 0
     rows = by_kind(read_records(out), "bench")
-    assert [r["N"] for r in rows] == [16, 32]
+    assert [(r["N"], r["sigma"]) for r in rows] == [(1, 0), (1, 1), (16, 0), (16, 1), (32, 0), (32, 1)]
     assert all(r["max_deviation"] <= 1e-11 for r in rows)
     assert all(r["t_direct"] > 0 and r["t_fast"] > 0 for r in rows)
     assert all(r["t_trunc"] > 0 and r["trunc_deviation"] <= 1e-12 for r in rows)

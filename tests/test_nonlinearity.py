@@ -75,7 +75,14 @@ def test_route_equivalence_at_scale(sigma):
         assert np.max(np.abs(c_sigma_fast(st).coeffs_full - ref)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 17, 161, 200])
+# c_sigma_fast runs the truncated kernel on 2N - 1 modes (2N - 2 after the
+# sigma = 1 shift): each crossover of the kernel from both sides, for each sigma
+FAST_SIZES = [1, 2, 3, 17, 161, 200,
+              (_TOEPLITZ_MAX_N + 1) // 2, (_TOEPLITZ_MAX_N + 1) // 2 + 1,
+              (_CONV_MAX_N + 1) // 2, (_CONV_MAX_N + 1) // 2 + 1, (_CONV_MAX_N + 1) // 2 + 2]
+
+
+@pytest.mark.parametrize("n", FAST_SIZES)
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_fast_route_matches_direct_on_seeded_states(n, sigma):
     for seed in range(3):
@@ -113,9 +120,14 @@ def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
     rng = np.random.default_rng(n)
     a = 1e-5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.arange(1, n + 1)
     a[0] = 1.0
-    ref = _c_sigma_direct_raw(a, 1)[:n]
+    full = _c_sigma_direct_raw(a, 1)
+    ref = full[:n]
     got = _c_sigma_trunc_raw(a, 1)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert got[0] == 0.0
+    # the full support, from the same kernel on the zero-padded state
+    got = c_sigma_fast(SpectralState(1, a)).coeffs_full
+    assert np.max(np.abs(got - full)) <= 1e-12 * np.max(np.abs(full))
     assert got[0] == 0.0
 
 
