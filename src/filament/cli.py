@@ -27,7 +27,6 @@ from .spectral import (
     write_snapshot,
 )
 from .nonlinearity import (
-    _CONV_MAX_N,
     _TOEPLITZ_MAX_N,
     _c_sigma_trunc_raw,
     _rhs_raw,
@@ -79,8 +78,8 @@ _CONVENTION = {
     "momentum": "2*pi*sum |a_k|^2",
     "mass": "2*pi*sum |a_k|^2/k",
     "dealiasing": (f"RHS modes 1..N only: one Toeplitz mat-vec for N <= {_TOEPLITZ_MAX_N}, "
-                   f"exact convolution for N <= {_CONV_MAX_N}, else grids >= 2*N-1; "
-                   "full C_sigma: the same kernel on the state zero-padded to 2*N-1 modes"),
+                   "else grids >= 2*N-1; full C_sigma: the same kernel on the state "
+                   "zero-padded to 2*N-1 modes"),
 }
 
 # exception class -> (error_type, exit code), as main and the streams report them
@@ -311,9 +310,9 @@ def _verify_rows(seed: int):
             if sigma == 1:
                 yield (f"sigma=1 mode-1 output seed={seed + i}", float(np.abs(ref[0])), 1e-14)
 
-    # the convolution and FFT branches of the truncated kernel (N = 32 runs the
-    # Toeplitz one); sigma = 1 runs each on modes 2..N
-    for n in (_TOEPLITZ_MAX_N + 1, _CONV_MAX_N + 2):
+    # both sides of the truncated kernel's Toeplitz/grid crossover; sigma = 1
+    # runs the grid on modes 2..N
+    for n in (_TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1):
         for sigma in (0, 1):
             state = seeded_state(sigma, n, seed)
             yield (f"route trunc N={n} sigma={sigma} seed={seed}",
@@ -342,8 +341,8 @@ def _verify_rows(seed: int):
                    pairing_check(state) / (1.0 + abs(es)), 1e-10)
 
     # the per-sample energy (pairing on the truncated kernel) on the Toeplitz and
-    # FFT branches of the kernel
-    for n in (32, _CONV_MAX_N + 2):
+    # grid forms of the kernel
+    for n in (32, _TOEPLITZ_MAX_N + 1):
         for sigma in (0, 1):
             state = seeded_state(sigma, n, seed + 20)
             es = energy_spectral(state)
@@ -608,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the direct sum against the FFT and truncated routes and the RHS")
     _add_common(p)
-    # 16 and 32 take the Toeplitz branch of the truncated kernel, 64 the
-    # convolution (above _TOEPLITZ_MAX_N) and 256 the FFT (above _CONV_MAX_N)
+    # 16, 32 and 64 take the Toeplitz form of the truncated kernel, 256 the
+    # grid (above _TOEPLITZ_MAX_N)
     p.add_argument("--sizes", type=_positive_int, nargs="+", default=[16, 32, 64, 256])
     p.add_argument("--repeats", type=_positive_int, default=3)
     p.set_defaults(func=cmd_bench)

@@ -7,11 +7,11 @@ The evolution is the coefficient ODE
 i.e. the sharp Galerkin regularization of du/dt = d/dx C_sigma[u].  The
 right-hand side needs modes 1..N of C_sigma only, so it is computed by one
 Toeplitz mat-vec with i p folded into its cached weight up to
-``_TOEPLITZ_MAX_N``, by exact convolution up to ``_CONV_MAX_N`` and on a
-grid of at least 2N - 1 points above (see ``filament.nonlinearity``).  Two
-steppers are provided: classical explicit RK4 and the implicit midpoint
-rule (solved by plain fixed-point iteration; the right-hand side is cubic
-and cheap, so Newton is unnecessary at desk scale).  The midpoint rule
+``_TOEPLITZ_MAX_N`` and on a grid of at least 2N - 1 points above (see
+``filament.nonlinearity``).  Two steppers are provided: classical explicit
+RK4 and the implicit midpoint rule (solved by plain fixed-point iteration;
+the right-hand side is cubic and cheap, so Newton is unnecessary at desk
+scale).  The midpoint rule
 conserves the quadratic invariants P and M to the fixed-point tolerance
 per step (not the quartic E, which drifts by O(dt^2)), which makes it the
 choice for long-horizon runs that must keep P and M.

@@ -39,8 +39,8 @@ pairing the gradient identity with u gives
 which :func:`pairing_check` verifies numerically.  The pairing needs modes
 1..N of C_sigma only, so E = 4 Re <a, Q^N C_sigma a> is also an exact
 energy route on the truncated kernel of ``filament.nonlinearity``
-(one Toeplitz mat-vec up to ``_TOEPLITZ_MAX_N``, exact O(N^2) products up
-to ``_CONV_MAX_N``, O(N log N) above): that is the per-sample energy of
+(one O(N^2) Toeplitz mat-vec up to ``_TOEPLITZ_MAX_N``, an O(N log N)
+grid above): that is the per-sample energy of
 :func:`invariant_report`; the layer cake stays the reference.
 """
 
@@ -230,8 +230,8 @@ def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
     The energy is the pairing 4 Re <a, Q^N C_sigma a> on the truncated
     kernel (Euler's relation for the quartic E and the gradient identity
     dE/d conj(a_p) = 8 C_p): exact like :func:`energy_spectral` (they agree
-    to rounding) at the kernel's cost, O(N^2) up to ``_CONV_MAX_N`` and
-    O(N log N) above, so it is the per-sample diagnostic of every
+    to rounding) at the kernel's cost, O(N^2) up to ``_TOEPLITZ_MAX_N``
+    and O(N log N) above, so it is the per-sample diagnostic of every
     trajectory.  A value beyond the float range comes out non-finite,
     without a warning, for ``integrator.sample_record`` to reject.
     """

@@ -261,6 +261,14 @@ class MinimizeOptions:
     seed: int = 0
     n_starts: int = 3
 
+    def __post_init__(self):
+        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
+            raise ValueError("grad_tol must be finite and non-negative")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be a positive integer")
+        if self.n_starts < 1:
+            raise ValueError("n_starts must be a positive integer")
+
 
 @dataclass(frozen=True)
 class MinimizerResult:
@@ -323,8 +331,6 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
     p_scale = p_norm(a) ** 2 if target.mode == "mass_only" else target.momentum_target
     step0, max_step = _STEP0 * (_TWO_PI / p_scale), _MAX_STEP * (_TWO_PI / p_scale)
     step = step0
-    grad_norm = np.inf
-    iterations = 0
     converged = False
     stall = 0
     for iterations in range(1, opts.max_iter + 1):
@@ -394,7 +400,7 @@ def minimize_energy(
             raise ValueError(f"init has {init.n_modes} modes, expected {n_modes}")
         return _descend(np.array(init.coeffs), sigma, target, opts, seed=None)
     best = None
-    for i in range(max(1, opts.n_starts)):
+    for i in range(opts.n_starts):
         seed = opts.seed + i
         start = seeded_state(sigma, n_modes, seed, decay=1.0, amplitude=1.0)
         result = _descend(np.array(start.coeffs), sigma, target, opts, seed=seed)

@@ -27,21 +27,19 @@ For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 first N entries (the sharp-cutoff Galerkin nonlinearity).
 
 One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..N of the
-operator for bandwidth-N input, in one of three forms by N:
+operator for bandwidth-N input, in one of two forms by N:
 
 - N <= ``_TOEPLITZ_MAX_N``: the unsymmetrized triple sum as one Toeplitz
   mat-vec, C_p = sum_k W[p, k] c_{p-k} a_k with c = |u|^2 on modes
   1-N..N-1 and the cached weight W = k - |k-p| - sigma (``_toeplitz_raw``;
   ``_rhs_raw``, the right-hand side of the flow, folds i p into a second
   cached weight);
-- up to ``_CONV_MAX_N``: exact products of coefficient sequences (O(N^2)
-  numpy convolutions, no grid);
 - above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
   the cubic product are alias-free.
 
 The flow and the minimizer call it on the state; ``c_sigma_fast`` calls it
 on the state zero-padded to 2N - 1 modes, whose modes 1..2N-1 are the whole
-support.  Every form reduces sigma = 1 to sigma = 0 on a_2..a_N by the same
+support.  Both forms reduce sigma = 1 to sigma = 0 on a_2..a_N by the same
 index shift.
 """
 
@@ -118,28 +116,27 @@ def _c_sigma_direct_raw(a: np.ndarray, sigma: int, weight=_min_weight) -> np.nda
     return out
 
 
-# Crossover from the exact O(N^2) convolution to the 2N grid of the truncated
-# kernel.  In-process best-of-15 timings of the two branches (numpy 2.4
-# numpy.fft, 2 vCPUs) broke even at N ~ 176-188; up to there the convolution
-# is at most ~10% faster per call than the FFT.  The value stays at 160,
-# where the verify rows and tests that straddle the crossover sit.
-_CONV_MAX_N = 160
+# Crossover from the Toeplitz mat-vec to the 2N grid.  Interleaved in-process
+# timings of the right-hand side, 40 rounds of 20 calls of each form (numpy 2.4
+# with OpenBLAS, 2 vCPUs), put the median Toeplitz/grid time ratio at
+# 0.79-0.92 at N = 112, 0.89-1.00 at N = 120 and 1.01-1.16 at N = 128 for
+# sigma = 1 and 0: the mat-vec is O(N^2) against the grid's O(N log N).
+_TOEPLITZ_MAX_N = 120
 
 
-# Crossover from the Toeplitz mat-vec to the convolutions.  Interleaved
-# in-process best-of-40 timings of the right-hand side, each pair measured
-# together (numpy 2.4 with OpenBLAS, 2 vCPUs, sigma = 0 and 1), read 6.9-7.2
-# against 10.8-11.8 us at N = 32, 14.6-15.4 against 19.5-22.5 us at N = 48 and
-# 12.1-12.6 against 13.9-15.4 us at N = 56; a prototype of the same mat-vec
-# read 20.5-25.0 against 15.7-16.6 us at N = 64, where the N x N work arrays
-# stop being cheap.
-_TOEPLITZ_MAX_N = 56
+def _on_toeplitz(n: int, sigma: int) -> bool:
+    """Whether the truncated kernel takes the Toeplitz form at N = n.  At
+    N = 1, sigma = 1 the mat-vec has nothing to correlate; the sigma = 1
+    shift of ``_c_sigma_trunc_raw`` gives the output 0 there."""
+    return sigma < n <= _TOEPLITZ_MAX_N
 
 
 _Toeplitz = namedtuple("_Toeplitz", "index weight rhs_weight")
 
 
-@functools.lru_cache(maxsize=128)
+# an entry holds 40 N^2 bytes (int64 index, two complex128 weights): at most
+# 24 x 40 x 120^2 = 13.8 MB at _TOEPLITZ_MAX_N
+@functools.lru_cache(maxsize=24)
 def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
     """Per-(N, sigma) constants of the Toeplitz mat-vec, read-only: the
     index of c_{p-k} in ``np.correlate``'s output, the weight W and i p W,
@@ -160,8 +157,8 @@ def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
 
 
 def _toeplitz_raw(a: np.ndarray, sigma: int, rhs: bool = False) -> np.ndarray:
-    """Modes 1..N of C_sigma, or of i p C_sigma with ``rhs``, for N > sigma
-    (the callers take it up to ``_TOEPLITZ_MAX_N``).
+    """Modes 1..N of C_sigma, or of i p C_sigma with ``rhs``, for the sizes
+    of ``_on_toeplitz``.
 
     One Toeplitz mat-vec: c_s = sum_{l-m=s} a_l conj(a_m) is |u|^2, and
     C_p = sum_k W[p, k] c_{p-k} a_k is the unsymmetrized triple sum.  At
@@ -177,40 +174,33 @@ def _toeplitz_raw(a: np.ndarray, sigma: int, rhs: bool = False) -> np.ndarray:
     return t.dot(a)
 
 
-_TruncConstants = namedtuple("_TruncConstants", "k absd absf m ik")
+_TruncConstants = namedtuple("_TruncConstants", "k absf m ik")
 
 
 @functools.lru_cache(maxsize=64)
 def _trunc_constants(n: int) -> _TruncConstants:
-    """Per-bandwidth constants of the truncated kernel, read-only:
-    k = 1..N, |s| on s = 1-N..N-1, the rfft symbol |f|, the grid size M
-    and i*k.  M is the smallest 11-smooth length >= 2N (for numpy.fft), so
-    M >= 2N-1 and modes 1..N of the cubic product are alias-free."""
+    """Per-bandwidth constants of the grid form, read-only: k = 1..N, the
+    rfft symbol |f|, the grid size M and i*k.  M is the smallest 11-smooth
+    length >= 2N (for numpy.fft), so M >= 2N-1 and modes 1..N of the cubic
+    product are alias-free."""
     m = _next_fast_len(2 * n)
     k = np.arange(1.0, n + 1.0)
-    consts = _TruncConstants(k, np.abs(np.arange(1.0 - n, n)), np.arange(m // 2 + 1.0), m, 1j * k)
-    for arr in (consts.k, consts.absd, consts.absf, consts.ik):
+    consts = _TruncConstants(k, np.arange(m // 2 + 1.0), m, 1j * k)
+    for arr in (consts.k, consts.absf, consts.ik):
         arr.flags.writeable = False
     return consts
 
 
 def _c_zero_raw(a: np.ndarray) -> np.ndarray:
-    """Modes 1..N of the sigma = 0 operator |u|^2 Lu - u L|u|^2.
-
-    Exact products of coefficient sequences up to ``_CONV_MAX_N``, else the
-    grid of ``_trunc_constants``: the product spans modes 2-N..2N-1, so on
+    """Modes 1..N of the sigma = 0 operator |u|^2 Lu - u L|u|^2 on the grid
+    of ``_trunc_constants``: the product spans modes 2-N..2N-1, so on
     M >= 2N - 1 points modes 1..N are alias-free.
     """
     n = a.size
-    k, absd, absf, m, _ = _trunc_constants(n)
-    ka = k * a
-    if n <= _CONV_MAX_N:
-        # c holds |u|^2 on modes 1-N..N-1, and "valid" keeps exactly modes 1..N
-        c = np.correlate(a, a, "full")
-        return np.convolve(c, ka, "valid") - np.convolve(absd * c, a, "valid")
+    k, absf, m, _ = _trunc_constants(n)
     spec = np.zeros((2, m), dtype=np.complex128)
     spec[0, 1 : n + 1] = a
-    spec[1, 1 : n + 1] = ka
+    spec[1, 1 : n + 1] = k * a
     u, lam_u = np.fft.ifft(spec, norm="forward")
     # in-place products: each saved temporary is worth ~1 us at M ~ 512, about
     # what numpy.fft's complex transforms cost over scipy.fft's there
@@ -234,8 +224,7 @@ def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     vanishing of the mode-1 output exact.
     """
     n = a.size
-    # at N = 1, sigma = 1 the mat-vec has nothing to correlate; the output is 0
-    if sigma < n <= _TOEPLITZ_MAX_N:
+    if _on_toeplitz(n, sigma):
         return _toeplitz_raw(a, sigma)
     if sigma == 0:
         return _c_zero_raw(a)
@@ -250,7 +239,7 @@ def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     Toeplitz mat-vec with i p folded into its weight on the branch where
     ``_c_sigma_trunc_raw`` takes it, else i p times that kernel."""
     n = a.size
-    if sigma < n <= _TOEPLITZ_MAX_N:
+    if _on_toeplitz(n, sigma):
         return _toeplitz_raw(a, sigma, rhs=True)
     return _trunc_constants(n).ik * _c_sigma_trunc_raw(a, sigma)
 
@@ -280,7 +269,7 @@ def c_sigma_fast(state: SpectralState) -> NonlinearityResult:
     """Kernel route: ``_c_sigma_trunc_raw`` on the state zero-padded to
     2N - 1 modes, whose truncation is the whole support of C_sigma.
 
-    Cost O(N^2) up to ``_CONV_MAX_N`` modes of the padded state and
+    Cost O(N^2) up to ``_TOEPLITZ_MAX_N`` modes of the padded state and
     O(N log N) above; exact up to rounding, and exactly 0 on mode 1 at
     sigma = 1.
     """

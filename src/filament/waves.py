@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .spectral import SpectralState, p_norm, seeded_state
-from .nonlinearity import _c_sigma_direct_raw
+from .nonlinearity import c_sigma_fast
 from .invariants import energy_spectral, momentum, mass
 from .integrator import StepperConfig, simulate, rhs
 
@@ -84,7 +84,7 @@ def wave_residual(profile: SpectralState, speed: float, phase_rate: float) -> Tr
     """
     a = profile.coeffs
     n = profile.n_modes
-    cubic = _c_sigma_direct_raw(a, profile.sigma)
+    cubic = c_sigma_fast(profile).coeffs_full
     lhs = np.zeros_like(cubic)
     p = np.arange(1, n + 1, dtype=float)
     lhs[:n] = -speed * a + phase_rate * a / p

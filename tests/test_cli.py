@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
-from filament.nonlinearity import _CONV_MAX_N, _TOEPLITZ_MAX_N
+from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
 
 
@@ -387,10 +387,10 @@ def test_verify_passes(tmp_path):
     assert len(checks) > 50
     assert all(c["pass"] for c in checks)
     assert by_kind(records, "summary")[0]["failures"] == 0
-    # each branch of the truncated kernel keeps a row for each sigma: Toeplitz,
-    # convolution (sigma = 1 runs N - 1 modes) and FFT
+    # each form of the truncated kernel keeps a row for each sigma: Toeplitz
+    # at 32 and at its last size, the grid just above (sigma = 1 runs N - 1 modes)
     names = {c["name"] for c in checks}
-    for n in (32, _TOEPLITZ_MAX_N + 1, _CONV_MAX_N + 2):
+    for n in (32, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1):
         for sigma in (0, 1):
             assert f"route trunc N={n} sigma={sigma} seed=0" in names
 
@@ -547,6 +547,15 @@ def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag
     assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and flag in err["message"]
+
+
+def test_negative_minimize_tolerance_rejected_before_header(tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    argv = ["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol=-1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.read_text() == ""  # no header: the options are checked first
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "grad_tol" in err["message"]
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--hs", "1", "-2"], ["invariants", "--hs", "-2"]])

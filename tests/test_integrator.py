@@ -13,21 +13,22 @@ from filament.integrator import (
     time_reversal_check,
     scaling_check,
 )
-from filament.nonlinearity import _CONV_MAX_N, _TOEPLITZ_MAX_N, _c_sigma_direct_raw, _rhs_raw
+from filament.nonlinearity import _TOEPLITZ_MAX_N, _c_sigma_direct_raw, _rhs_raw
 from filament.waves import make_psi_k
 
 from oracles import cubic_brute_force
 
 
-@pytest.mark.parametrize("n", [1, 2, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
-                               _CONV_MAX_N + 1, 200])
+@pytest.mark.parametrize("n", [1, 2, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
+                               161, 200])
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_rhs_matches_ip_times_direct_sum(n, sigma):
-    # every branch of the RHS: the Toeplitz weight with i p folded in, and
-    # i p times the convolution or the FFT grid.  The grid's rounding error is
-    # flat in p, which i p lifts at the top modes while |i p C_p| peaks low, so
-    # the deviation is taken on the scale of C (N = 200, seed 1 reads 1.1e-12
-    # relative to max |i p C|, 7.5e-15 relative to max |C| after dividing by i p)
+    # both forms of the RHS, on both sides of their crossover: the Toeplitz
+    # weight with i p folded in, and i p times the grid.  The grid's rounding
+    # error is flat in p, which i p lifts at the top modes while |i p C_p| peaks
+    # low, so the deviation is taken on the scale of C (N = 200, seed 1 reads
+    # 1.1e-12 relative to max |i p C|, 7.5e-15 relative to max |C| after
+    # dividing by i p)
     k = np.arange(1, n + 1)
     for seed in range(3):
         a = seeded_state(sigma, n, seed).coeffs

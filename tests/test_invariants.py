@@ -259,10 +259,10 @@ def test_invariant_report_fields():
     assert set(rec) == {"E", "P", "M", "a1_re", "a1_im", "H0", "H1"}
 
 
-# _TOEPLITZ_MAX_N and the next size straddle the kernel's Toeplitz/convolution
-# crossover, 160/161/162 its convolution/FFT one; sigma = 1 runs the shifted
-# size N - 1 on the convolution, so 161 is its last convolution case
-@pytest.mark.parametrize("n", [1, 2, 3, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
+# _TOEPLITZ_MAX_N and the next size straddle the kernel's Toeplitz/grid
+# crossover (sigma = 1 runs the grid on the shifted size N - 1); 56/57 are
+# Toeplitz sizes, 160/161/162 grid ones
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
                                160, 161, 162, 256, 512])
 @pytest.mark.parametrize("sigma", [0, 1])
 @pytest.mark.parametrize("seed", range(3))

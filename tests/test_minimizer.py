@@ -194,6 +194,17 @@ def test_minimize_descends_at_a_large_target():
     assert max(result.constraint_violation) <= 1e-10
 
 
+@pytest.mark.parametrize("kwargs", [
+    # max_iter=0 returned grad_norm = inf, n_starts <= 0 ran one start, and a
+    # NaN tolerance never converged
+    {"max_iter": 0}, {"n_starts": 0}, {"n_starts": -3},
+    {"grad_tol": float("nan")}, {"grad_tol": float("inf")}, {"grad_tol": -1.0},
+])
+def test_minimize_options_reject_invalid_values(kwargs):
+    with pytest.raises(ValueError):
+        MinimizeOptions(**kwargs)
+
+
 def test_minimize_infeasible_target_rejected():
     with pytest.raises(ValueError):
         minimize_energy(0, 8, ConstraintTarget(mass_target=TWO_PI, momentum_target=np.pi))

@@ -3,7 +3,6 @@ import pytest
 
 from filament.spectral import SpectralState, seeded_state
 from filament.nonlinearity import (
-    _CONV_MAX_N,
     _TOEPLITZ_MAX_N,
     _c_sigma_direct_raw,
     _c_sigma_trunc_raw,
@@ -76,10 +75,10 @@ def test_route_equivalence_at_scale(sigma):
 
 
 # c_sigma_fast runs the truncated kernel on 2N - 1 modes (2N - 2 after the
-# sigma = 1 shift): each crossover of the kernel from both sides, for each sigma
-FAST_SIZES = [1, 2, 3, 17, 161, 200,
-              (_TOEPLITZ_MAX_N + 1) // 2, (_TOEPLITZ_MAX_N + 1) // 2 + 1,
-              (_CONV_MAX_N + 1) // 2, (_CONV_MAX_N + 1) // 2 + 1, (_CONV_MAX_N + 1) // 2 + 2]
+# sigma = 1 shift): its Toeplitz/grid crossover from both sides, for each
+# sigma; 28/29 are Toeplitz sizes, 80/81/82, 161 and 200 grid ones
+FAST_SIZES = [1, 2, 3, 17, 28, 29, 80, 81, 82, 161, 200,
+              (_TOEPLITZ_MAX_N + 1) // 2, (_TOEPLITZ_MAX_N + 1) // 2 + 1, (_TOEPLITZ_MAX_N + 1) // 2 + 2]
 
 
 @pytest.mark.parametrize("n", FAST_SIZES)
@@ -94,10 +93,11 @@ def test_fast_route_matches_direct_on_seeded_states(n, sigma):
             assert got[0] == 0.0
 
 
-# the three branches of the truncated kernel, for each sigma: sigma = 1 runs
-# the convolution and the FFT on N - 1 modes, hence crossover + 2
-TRUNC_SIZES = [1, 2, 3, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
-               _CONV_MAX_N, _CONV_MAX_N + 1, _CONV_MAX_N + 2, 128, 200]
+# both forms of the truncated kernel, for each sigma, and its crossover from
+# both sides (sigma = 1 runs the grid on N - 1 modes); 56/57 are Toeplitz
+# sizes, 128, 160, 161, 162 and 200 grid ones
+TRUNC_SIZES = [1, 2, 3, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
+               128, 160, 161, 162, 200]
 
 
 @pytest.mark.parametrize("n", TRUNC_SIZES)
@@ -113,7 +113,7 @@ def test_truncated_kernel_matches_direct(n, sigma):
             assert got[0] == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 17, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 200])
+@pytest.mark.parametrize("n", [2, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 200])
 def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
     # E_1 does not see mode 1: however large a_1 is, the output is that of
     # a_2..a_N, to the same relative accuracy
@@ -131,7 +131,7 @@ def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
     assert got[0] == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 17, _TOEPLITZ_MAX_N])
+@pytest.mark.parametrize("n", [2, 17, 56, _TOEPLITZ_MAX_N])
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_toeplitz_constants_are_read_only(n, sigma):
     consts = _toeplitz_constants(n, sigma)
