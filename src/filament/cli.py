@@ -29,6 +29,7 @@ from .spectral import (
 from .nonlinearity import (
     _TOEPLITZ_MAX_N,
     _c_sigma_trunc_raw,
+    _check_n_quad,
     _rhs_raw,
     c_sigma_direct,
     c_sigma_unsym,
@@ -114,8 +115,6 @@ class _Writer:
     """
 
     def __init__(self, out_path, subcommand: str):
-        self.path = None
-        self._fh = sys.stdout
         self._subcommand = subcommand
         self._started = False
         if out_path is None:
@@ -123,9 +122,8 @@ class _Writer:
             if env_dir:
                 os.makedirs(env_dir, exist_ok=True)
                 out_path = os.path.join(env_dir, f"{subcommand}.jsonl")
-        if out_path is not None:
-            self.path = out_path
-            self._fh = open(out_path, "w", encoding="utf-8")
+        self.path = out_path
+        self._fh = sys.stdout if out_path is None else None  # opened by the header
 
     def __enter__(self) -> "_Writer":
         return self
@@ -141,6 +139,8 @@ class _Writer:
         return False
 
     def emit(self, record: dict) -> None:
+        if self._fh is None:
+            self._fh = open(self.path, "w", encoding="utf-8")
         try:
             line = json.dumps(record, allow_nan=False)
         except ValueError as exc:  # json refuses NaN and Infinity
@@ -160,7 +160,7 @@ class _Writer:
         self._started = True
 
     def close(self) -> None:
-        if self.path is not None:
+        if self.path is not None and self._fh is not None:
             self._fh.close()
 
 
@@ -437,6 +437,7 @@ def cmd_wave_residual(args, writer) -> int:
 def cmd_invariants(args, writer) -> int:
     state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     n_quad = args.n_quad or max(1024, 8 * state.n_modes)
+    _check_n_quad(state.n_modes, n_quad)
     writer.header({
         "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
         "n_quad": n_quad, "h_s": list(args.hs),

@@ -22,7 +22,7 @@ and a 2-d midpoint quadrature of the Gagliardo double integral
     (1/4pi^2) iint |u(x)-u(y)|^4 / (1 - cos(x-y)) dx dy
     - (2 sigma/pi) int |u|^4 dx,
 
-on ``nonlinearity._midpoint_differences``, the one singular-integral rule.
+on ``nonlinearity._midpoint_rule``, the one singular-integral rule.
 
 The quadratic invariants are the momentum P = 2pi sum |a_k|^2 (the L^2
 mass) and the 1/k-weighted mass M = 2pi sum |a_k|^2 / k.  This fixes
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralState, dealiased_grid_size, _synthesize
-from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _midpoint_differences
+from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _midpoint_rule
 
 __all__ = [
     "InvariantReport",
@@ -112,15 +112,16 @@ def energy_lambda_form(state: SpectralState) -> float:
 
 
 def energy_quadrature(state: SpectralState, n_quad: int) -> float:
-    """Quadrature energy route: 2-d midpoint rule on the Gagliardo integral
-    (``_midpoint_differences`` in z = x - y, a plain x grid)."""
-    u, chunks = _midpoint_differences(state, n_quad)
-    gagliardo = 0.0
-    for d, kern in chunks:
-        gagliardo += float((np.abs(d) ** 4).sum(axis=1) @ kern)
-    energy = gagliardo / (u.size * n_quad)       # (1/4pi^2)(2pi/mx)(2pi/n_quad) sum
-    energy -= 4.0 * state.sigma * np.mean(np.abs(u) ** 4)
-    return float(energy)
+    """Quadrature energy route: the midpoint rule on the Gagliardo integral, with
+    D of ``_midpoint_rule`` symmetric under the x-sum: sum_x sum_j w_j |du_j|^4 =
+    sum_x [4s D[s] - 8s Re(conj(u) D[u]) + 2 Re(conj(u)^2 D[u^2])], s = |u|^2."""
+    u, diff = _midpoint_rule(state, n_quad)
+    s = (u * np.conj(u)).real
+    ds, du, du2 = diff(np.stack([s, u, u * u]))
+    gagliardo = np.sum(4.0 * s * ds.real - 8.0 * s * (np.conj(u) * du).real
+                       + 2.0 * (np.conj(u * u) * du2).real)
+    # (1/4pi^2)(2pi/mx)(2pi/n_quad) sum
+    return float(gagliardo / (u.size * n_quad) - 4.0 * state.sigma * np.mean(s * s))
 
 
 def momentum(state: SpectralState) -> float:

@@ -16,11 +16,10 @@ with P+ the positive-frequency projector.  The singular-integral form
     C_sigma[u](x) = P+[ (1/4pi) int |du|^2 du / (1 - cos(x-y)) dy
                         - sigma |u(x)|^2 u(x) ],   du = u(x) - u(y),
 
-is also provided, discretized by a midpoint rule in z = x - y that never
-touches the removable singularity at z = 0: ``_midpoint_differences``, which
-the quadrature energy of ``filament.invariants`` shares.  The four routes
-agree to rounding for band-limited states; the direct triple sum is the
-reference.
+is also provided, discretized by a midpoint rule in z = x - y, summed as a
+Fourier symbol of the kernel: ``_midpoint_rule``, which the quadrature energy
+of ``filament.invariants`` shares.  The four routes agree to rounding for
+band-limited states; the direct triple sum is the reference.
 
 For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
@@ -279,54 +278,54 @@ def c_sigma_fast(state: SpectralState) -> NonlinearityResult:
     return NonlinearityResult(state.sigma, n, _c_sigma_trunc_raw(padded, state.sigma))
 
 
-def _midpoint_nodes(n_quad: int) -> np.ndarray:
-    """z_j = (j + 1/2) * 2*pi/n_quad, off z = 0, where the singular integrands
-    extend by 0 (numerators vanish at least cubically, 1 - cos z quadratically)."""
-    return (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+def _kernel_sums(ms, n_quad: int) -> np.ndarray:
+    """d_m = sum_j (1 - cos m z_j)/(1 - cos z_j) on the midpoint nodes
+    z_j = (j + 1/2) 2pi/n_quad, off the removable singularity at z = 0, one m
+    at a time.  Exact: d_m = n_quad |m| for |m| <= n_quad, so d_0 = 0."""
+    z = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+    denom = 1.0 - np.cos(z)
+    return np.array([((1.0 - np.cos(m * z)) / denom).sum() for m in ms])
 
 
-def _midpoint_differences(state: SpectralState, n_quad: int):
+@functools.lru_cache(maxsize=32)
+def _kernel_symbol(n_quad: int, m: int) -> np.ndarray:
+    """d_|f| for each bin f of an m-point grid (d is even, so Nyquist takes either sign); read-only."""
+    f = np.arange(m)
+    d = _kernel_sums(range(m // 2 + 1), n_quad)[np.minimum(f, m - f)]
+    d.flags.writeable = False
+    return d
+
+
+def _check_n_quad(n_modes: int, n_quad: int) -> None:
+    """ValueError unless n_quad >= 8 n_modes; the CLI checks ``--n-quad`` with it."""
+    if n_quad < 8 * n_modes:
+        raise ValueError(f"n_quad must be at least 8*n_modes = {8 * n_modes}, got {n_quad}")
+
+
+def _midpoint_rule(state: SpectralState, n_quad: int):
     """The one discretization of the singular integrals: u on the 4N grid and
-    chunks (du, w) of the midpoint nodes, du[j, x] = u(x) - u(x - z_j) and
-    w[j] = 1/(1 - cos z_j), each (z, x) work array bounded to ~16 MB."""
-    n = state.n_modes
-    if n_quad < 8 * n:
-        raise ValueError(f"n_quad must be at least 8*n_modes = {8 * n}, got {n_quad}")
-    a = state.coeffs
-    u = _synthesize(a, dealiased_grid_size(n))
-    z = _midpoint_nodes(n_quad)
-    kern = 1.0 / (1.0 - np.cos(z))
-    chunk = max(1, (1 << 20) // u.size)
-
-    def chunks():
-        for lo in range(0, n_quad, chunk):
-            shifted = _synthesize(a * np.exp(-1j * np.outer(z[lo : lo + chunk], state.modes)), u.size)
-            yield u - shifted, kern[lo : lo + chunk]
-
-    return u, chunks()
+    D[q] = sum_j w_j (q(x - z_j) - q(x)), w_j = 1/(1 - cos z_j), which is
+    -ifft(d fft(q)) for q that fit the grid; d_0 = 0, so sum_j w_j never forms."""
+    _check_n_quad(state.n_modes, n_quad)
+    u = _synthesize(state.coeffs, dealiased_grid_size(state.n_modes))
+    return u, lambda q: np.fft.ifft(-_kernel_symbol(n_quad, u.size) * np.fft.fft(q))
 
 
 def c_sigma_quadrature(state: SpectralState, n_quad: int) -> NonlinearityResult:
-    """Direct quadrature of the singular-integral form on the midpoint
-    nodes of :func:`_midpoint_differences`."""
-    n = state.n_modes
-    u, chunks = _midpoint_differences(state, n_quad)
-    acc = np.zeros(u.size, dtype=np.complex128)
-    for d, kern in chunks:
-        acc += np.einsum("jx,j->x", np.abs(d) ** 2 * d, kern)
-    integral = acc / (2.0 * n_quad)  # (1/4pi) * (2pi/n_quad) * sum_j
-    g = integral - state.sigma * np.abs(u) ** 2 * u
-    return NonlinearityResult(state.sigma, n, _analyze(g, 2 * n - 1))
+    """Midpoint rule on the singular-integral form: with s = |u|^2 and D of
+    :func:`_midpoint_rule`, sum_j w_j |du_j|^2 du_j = 2u D[s] + conj(u) D[u^2]
+    - u^2 conj(D[u]) - 2s D[u] - D[su], du_j = u(x) - u(x - z_j)."""
+    u, diff = _midpoint_rule(state, n_quad)
+    s = (u * np.conj(u)).real
+    ds, du, du2, dsu = diff(np.stack([s, u, u * u, s * u]))
+    acc = 2.0 * u * ds.real + np.conj(u) * du2 - u * u * np.conj(du) - 2.0 * s * du - dsu
+    g = acc / (2.0 * n_quad) - state.sigma * s * u  # (1/4pi) * (2pi/n_quad) * sum_j
+    return NonlinearityResult(state.sigma, state.n_modes, _analyze(g, 2 * state.n_modes - 1))
 
 
 def kernel_integral(m: int, n_quad: int) -> float:
-    """Midpoint-rule value of int_0^{2pi} (1 - cos(m z)) / (1 - cos z) dz.
-
-    The exact value is 2*pi*|m|; this validates the quadrature scheme used
-    by :func:`c_sigma_quadrature` on the same kernel and nodes.
-    """
+    """Midpoint-rule value d_m 2pi/n_quad of int_0^{2pi} (1 - cos(m z)) / (1 - cos z) dz,
+    exactly 2*pi*|m|: a check of the kernel sums the quadrature routes take as symbol."""
     if n_quad < 64:
         raise ValueError(f"n_quad must be at least 64, got {n_quad}")
-    z = _midpoint_nodes(n_quad)
-    vals = (1.0 - np.cos(m * z)) / (1.0 - np.cos(z))
-    return float(vals.sum() * 2.0 * np.pi / n_quad)
+    return float(_kernel_sums([m], n_quad)[0] * 2.0 * np.pi / n_quad)

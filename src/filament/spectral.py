@@ -76,11 +76,9 @@ class SpectralState:
 
 
 def _synthesize(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
-    """Exact synthesis of positive modes 1..N on an M-point grid (M >= N+1),
-    along the last axis: a (J, N) array gives J rows of samples."""
-    n = coeffs.shape[-1]
-    spectrum = np.zeros(coeffs.shape[:-1] + (grid_size,), dtype=np.complex128)
-    spectrum[..., 1 : n + 1] = coeffs
+    """Exact synthesis of positive modes 1..N on an M-point grid (M >= N+1)."""
+    spectrum = np.zeros(grid_size, dtype=np.complex128)
+    spectrum[1 : coeffs.size + 1] = coeffs
     return np.fft.ifft(spectrum) * grid_size
 
 

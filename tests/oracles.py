@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
-Everything here is written as plain Python loops over the interaction
-indices, deliberately sharing no code with the package's vectorized or
+The sums over interaction indices are plain Python loops; the midpoint
+rule of the singular integrals is summed over its whole (z, x) array.
+Nothing here imports the package or shares code with its vectorized or
 FFT evaluation paths.
 """
 
@@ -66,3 +67,53 @@ def triple_product_coeffs(coeffs, n_keep):
                 if 1 <= p <= n_keep:
                     out[p - 1] += coeffs[k - 1] * coeffs[l - 1] * np.conj(coeffs[m - 1])
     return np.array(out)
+
+
+def _smooth_length(target):
+    """Smallest 11-smooth integer >= target."""
+    n = target
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _synthesize(coeffs, size):
+    """Samples of sum_{k=1..N} a_k e^{ikx} on a size-point grid, along the last axis."""
+    spectrum = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)
+    spectrum[..., 1 : coeffs.shape[-1] + 1] = coeffs
+    return np.fft.ifft(spectrum) * size
+
+
+def _difference_array(coeffs, n_quad):
+    """u on the 4N grid (the smallest 11-smooth length >= max(4N, 8)), the
+    (z, x) array du[j, x] = u(x) - u(x - z_j) on the midpoint nodes
+    z_j = (j + 1/2) 2pi/n_quad, and the kernel w_j = 1/(1 - cos z_j)."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    n = a.size
+    size = _smooth_length(max(4 * n, 8))
+    z = (np.arange(n_quad) + 0.5) * (2.0 * np.pi / n_quad)
+    u = _synthesize(a, size)
+    shifted = _synthesize(a * np.exp(-1j * np.outer(z, np.arange(1, n + 1))), size)
+    return u, u - shifted, 1.0 / (1.0 - np.cos(z))
+
+
+def cubic_midpoint_rule(coeffs, sigma, n_quad):
+    """Modes 1..2N-1 of P+[(1/4pi) int |du|^2 du / (1 - cos z) dz - sigma |u|^2 u]
+    by the midpoint rule in z = x - y, summed point by point over (z, x)."""
+    u, du, kern = _difference_array(coeffs, n_quad)
+    integral = np.einsum("jx,j->x", np.abs(du) ** 2 * du, kern) / (2.0 * n_quad)
+    g = integral - sigma * np.abs(u) ** 2 * u
+    return (np.fft.fft(g) / g.size)[1 : 2 * len(coeffs)]
+
+
+def energy_midpoint_rule(coeffs, sigma, n_quad):
+    """(1/4pi^2) iint |u(x) - u(y)|^4 / (1 - cos(x - y)) dx dy - (2 sigma/pi) int |u|^4 dx
+    by the midpoint rule in z = x - y and the plain x grid, point by point."""
+    u, du, kern = _difference_array(coeffs, n_quad)
+    gagliardo = float((np.abs(du) ** 4).sum(axis=1) @ kern)
+    return float(gagliardo / (u.size * n_quad) - 4.0 * sigma * np.mean(np.abs(u) ** 4))

@@ -253,7 +253,8 @@ def test_failures_end_in_json_without_traceback(tmp_path, argv, code, error_type
     assert len(proc.stderr.strip().splitlines()) == 1  # no numpy warning ahead of the record
     err = json.loads(proc.stderr.strip().splitlines()[-1])
     assert err["record"] == "error" and err["error_type"] == error_type
-    stream = read_records(out)
+    assert out.exists() == bool(records)  # a run rejected before its header writes no file
+    stream = read_records(out) if records else []
     assert [r["record"] for r in stream] == records
     assert stream[-1:] in ([], [err])
 
@@ -274,7 +275,7 @@ def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
     out = tmp_path / "min.jsonl"
     assert main(["minimize", "--mass-target", "1", "--momentum-target", "2", "--n-modes", "4",
                  "--init", init, "--out", str(out)]) == code
-    assert read_records(out) == []
+    assert not out.exists()
     assert _stderr_error(capsys)["record"] == "error"
 
 
@@ -283,7 +284,7 @@ def test_minimize_target_overflow_rejected_before_header(tmp_path, capsys):
     assert main(["minimize", "--sigma", "0", "--n-modes", "4", "--mass-target", "1e300",
                  "--momentum-target", "2e300", "--max-iter", "5", "--n-starts", "1",
                  "--out", str(out)]) == 1
-    assert read_records(out) == []
+    assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation"
     assert "mass target 1e+300" in err["message"] and "momentum target 2e+300" in err["message"]
@@ -310,7 +311,7 @@ def test_minimize_huge_targets_run_or_fail_validation(tmp_path, capsys, n, sigma
     if code == 0:
         assert [r["record"] for r in read_records(out)] == ["header", "minimizer"]
     else:
-        assert code == 1 and read_records(out) == []
+        assert code == 1 and not out.exists()
         assert _stderr_error(capsys)["error_type"] == "validation"
 
 
@@ -334,10 +335,26 @@ def test_emit_refuses_non_finite_values(tmp_path):
     assert out.read_text() == ""
 
 
-def test_invariants_n_quad_below_8n_is_rejected(capsys):
-    assert main(["invariants", "--n-modes", "2", "--n-quad", "8", "--init", "psi_k:2"]) == 1
+def test_invariants_n_quad_below_8n_is_rejected(tmp_path, capsys):
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--n-modes", "2", "--n-quad", "8", "--init", "psi_k:2",
+                 "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "n_quad must be at least 8*n_modes" in err["message"]
+    assert not out.exists()  # rejected before the header: no stream at all
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "0.3", "--t-end", "1"],
+    ["minimize", "--mass-target", "3", "--momentum-target", "2"],
+])
+def test_rejected_run_leaves_an_existing_out_file_as_it_was(tmp_path, capsys, argv):
+    # the file used to be truncated before the arguments were validated
+    out = tmp_path / "prior.jsonl"
+    out.write_bytes(b'{"record": "header"}\nprior content\n')
+    assert main(argv + ["--out", str(out)]) == 1
+    assert _stderr_error(capsys)["error_type"] == "validation"
+    assert out.read_bytes() == b'{"record": "header"}\nprior content\n'
 
 
 def test_invariants_default_n_quad_follows_n_modes(tmp_path):
@@ -553,7 +570,7 @@ def test_negative_minimize_tolerance_rejected_before_header(tmp_path, capsys):
     out = tmp_path / "run.jsonl"
     argv = ["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol=-1"]
     assert main(argv + ["--out", str(out)]) == 1
-    assert out.read_text() == ""  # no header: the options are checked first
+    assert not out.exists()  # no header: the options are checked first
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and "grad_tol" in err["message"]
 

@@ -14,7 +14,8 @@ from filament.nonlinearity import (
     kernel_integral,
 )
 
-from oracles import cubic_brute_force
+from filament.invariants import energy_quadrature, energy_spectral
+from oracles import cubic_brute_force, cubic_midpoint_rule, energy_midpoint_rule
 
 ROUTES = [c_sigma_direct, c_sigma_unsym, c_sigma_fast]
 
@@ -143,12 +144,15 @@ def test_toeplitz_constants_are_read_only(n, sigma):
 
 
 def test_quadrature_minimum_resolution_is_exact():
-    # the z-integrand of a bandwidth-N state is a trig polynomial of degree
+    # the z-integrands of a bandwidth-N state are trig polynomials of degree
     # <= 2N+1, so the midpoint rule is already exact at the 8N floor
-    st = seeded_state(0, 12, 9)
-    ref = c_sigma_direct(st).coeffs_full
-    got = c_sigma_quadrature(st, 8 * 12).coeffs_full
-    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    for sigma in (0, 1):
+        st = seeded_state(sigma, 12, 9)
+        ref = c_sigma_direct(st).coeffs_full
+        got = c_sigma_quadrature(st, 8 * 12).coeffs_full
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        es = energy_spectral(st)
+        assert abs(energy_quadrature(st, 8 * 12) - es) <= 1e-10 * abs(es)
 
 
 def test_quadrature_single_mode():
@@ -221,8 +225,9 @@ def test_kernel_integral_resolution_check():
         kernel_integral(3, 32)
 
 
-# Bit-exact values of the three midpoint-rule routes on one seeded N = 12
-# state: any change to the discretization (nodes, kernel, chunking, 4N grid)
+# Bit-exact values of the (z, x) midpoint-rule oracle, which sums the
+# singular integrals point by point, and of the kernel integral on one seeded
+# N = 12 state: any change to the discretization (nodes, kernel, 4N grid)
 # shows here.  Outputs that are zero up to rounding are not pinned.
 QUADRATURE_PIN = {
     0: {0: -0.10470407562374393 + 0.053214359408041076j,
@@ -236,12 +241,26 @@ QUADRATURE_PIN = {
 
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_quadrature_routes_match_pinned_values(sigma):
-    from filament.invariants import energy_quadrature
-
     st = seeded_state(sigma, 12, 4)
-    got = c_sigma_quadrature(st, 96).coeffs_full
+    got = cubic_midpoint_rule(st.coeffs, sigma, 96)
     for index, value in QUADRATURE_PIN[sigma].items():
         assert got[index] == value
-    assert energy_quadrature(st, 96) == {0: 0.4884312805968158, 1: 0.1745421346974227}[sigma]
+    assert energy_midpoint_rule(st.coeffs, sigma, 96) == {0: 0.4884312805968158, 1: 0.1745421346974227}[sigma]
     assert kernel_integral(3, 64) == 18.849555921538798
     assert kernel_integral(-2, 100) == 12.566370614359217
+
+
+@pytest.mark.parametrize("sigma", [0, 1])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 12, 17, 32])
+@pytest.mark.parametrize("n_quad", ["8N", 2048])
+def test_quadrature_routes_match_the_midpoint_oracle(sigma, n, n_quad):
+    # the library sums the same rule through the Fourier symbol of its kernel
+    n_quad = 8 * n if n_quad == "8N" else n_quad
+    for seed in range(5):
+        st = seeded_state(sigma, n, seed)
+        norm = np.linalg.norm(st.coeffs)
+        got = c_sigma_quadrature(st, n_quad).coeffs_full
+        expect = cubic_midpoint_rule(st.coeffs, sigma, n_quad)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * norm**3
+        energy = energy_quadrature(st, n_quad)
+        assert abs(energy - energy_midpoint_rule(st.coeffs, sigma, n_quad)) <= 1e-11 * norm**4
