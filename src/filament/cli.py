@@ -389,24 +389,21 @@ def cmd_verify(args, writer) -> int:
 
 
 def cmd_minimize(args, writer) -> int:
-    target = ConstraintTarget(
-        mass_target=args.mass_target,
-        momentum_target=args.momentum_target,
-        mode=args.constraint_mode,
-    )
+    target = ConstraintTarget(mass_target=args.mass_target, momentum_target=args.momentum_target)
     opts = MinimizeOptions(
         grad_tol=args.tol, max_iter=args.max_iter,
         seed=args.seed, n_starts=args.n_starts,
     )
-    _check_targets(args.sigma, args.n_modes, target)
     init = None if args.init is None else _parse_init(args.init, args.sigma, args.n_modes, args.seed)
+    n_modes = args.n_modes if init is None else init.n_modes  # a snapshot brings its own N
+    _check_targets(args.sigma, n_modes, target)
     writer.header({
-        "sigma": args.sigma, "n_modes": args.n_modes,
+        "sigma": args.sigma, "n_modes": n_modes, "init": args.init,
         "mass_target": args.mass_target, "momentum_target": args.momentum_target,
-        "constraint_mode": args.constraint_mode, "grad_tol": opts.grad_tol,
-        "max_iter": opts.max_iter, "seed": opts.seed, "n_starts": opts.n_starts,
+        "grad_tol": opts.grad_tol, "max_iter": opts.max_iter, "seed": opts.seed,
+        "n_starts": opts.n_starts,
     })
-    result = minimize_energy(args.sigma, args.n_modes, target, init=init, opts=opts)
+    result = minimize_energy(args.sigma, n_modes, target, init=init, opts=opts)
     rec = {"record": "minimizer"}
     rec.update(result.to_record())
     writer.emit(rec)
@@ -527,15 +524,21 @@ def _sobolev_exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    """Type of every count flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """Type of an integer flag that must be at least ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")  # every count flag
+_seed_int = _int_at_least(0, "non-negative")  # --seed, as seeded_state takes it
 
 
 def _add_state(p, n_modes_default=32):
@@ -547,7 +550,7 @@ def _add_state(p, n_modes_default=32):
 
 
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=0, help="seed for random or seeded data")
+    p.add_argument("--seed", type=_seed_int, default=0, help="seed for random or seeded data")
     p.add_argument("--out", type=str, default=None,
                    help=f"output file (JSON lines); default stdout or ${OUT_DIR_ENV}")
 
@@ -582,8 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state(p)
     p.add_argument("--mass-target", type=_finite_float, required=True)
     p.add_argument("--momentum-target", type=_finite_float, required=True)
-    p.add_argument("--constraint-mode", choices=("both", "mass_only", "momentum_only"),
-                   default="both")
     p.add_argument("--init", type=str, default=None,
                    help="optional starting state (same forms as simulate)")
     p.add_argument("--tol", type=_finite_float, default=1e-8, help="projected-gradient tolerance")

@@ -3,7 +3,7 @@
 The problem is
 
     minimize E_sigma(u)  over modes 1..N
-    subject to M(u) = M*, P(u) = P*       (or a single constraint),
+    subject to M(u) = M*, P(u) = P*,
 
 solved by projected gradient descent in the flat coefficient metric: the
 gradient of the energy with respect to conj(a_p) is 8 C_p, and because P
@@ -15,8 +15,7 @@ set by the module constants ``_STEP0`` (first step), ``_MAX_STEP`` (largest
 step), ``_ARMIJO`` (sufficient decrease), ``_BACKTRACK`` (shrink factor, at
 most ``_MAX_BACKTRACKS`` times) and ``_GROW`` (growth after an accepted
 step).  The gradient is cubic in a, so a useful step scales like 1/P:
-``_STEP0`` and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P* (by
-2 pi/P of the projected start under the mass constraint alone).  A
+``_STEP0`` and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P*.  A
 first-order point satisfies the stationarity condition
 
     (4/pi) C_p = lambda a_p / p + mu a_p,
@@ -74,22 +73,17 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConstraintTarget:
-    mass_target: float = 0.0
-    momentum_target: float = 0.0
-    mode: str = "both"
+    mass_target: float
+    momentum_target: float
 
     def __post_init__(self):
-        if self.mode not in ("both", "mass_only", "momentum_only"):
-            raise ValueError(f"unknown constraint mode {self.mode!r}")
-        if self.mode in ("both", "mass_only") and not self.mass_target > 0.0:
+        if not self.mass_target > 0.0:
             raise ValueError("mass_target must be positive")
-        if self.mode in ("both", "momentum_only") and not self.momentum_target > 0.0:
+        if not self.momentum_target > 0.0:
             raise ValueError("momentum_target must be positive")
 
     def validate_for(self, n_modes: int) -> None:
         """Reject targets outside the reachable band P*/N <= M* <= P*."""
-        if self.mode != "both":
-            return
         m_star, p_star = self.mass_target, self.momentum_target
         if m_star > p_star * (1.0 + _BOUNDARY_RTOL):
             raise ValueError(
@@ -106,20 +100,18 @@ def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
     """ValueError for targets outside the reachable band, or whose scales
     overflow a float in the descent.
 
-    The momentum is at most P* (N M* under the mass constraint alone), so
-    |a| is at most sqrt(P*), and the stationarity misfit cubes it.  The
-    descent also squares the gradient 8C in the P-norm.  C is cubic and
-    sees only part of the momentum: at most P*, and for E_1 under both
-    constraints at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k)
+    The momentum is P*, so |a| is at most sqrt(P*), and the stationarity
+    misfit cubes it.  The descent also squares the gradient 8C in the
+    P-norm.  C is cubic and sees only part of the momentum: at most P*, and
+    for E_1 at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k)
     and E_1 does not see mode 1.  On the seen momentum S its size is at most
     about N S^(3/2), reached with all weight on mode N, where C = N |a|^2 a.
     """
     target.validate_for(n_modes)
     m_star, p_star = target.mass_target, target.momentum_target
-    total = n_modes * m_star if target.mode == "mass_only" else p_star
-    seen = min(total, 2.0 * abs(p_star - m_star)) if sigma == 1 and target.mode == "both" else total
+    seen = min(p_star, 2.0 * abs(p_star - m_star)) if sigma == 1 else p_star
     grad = 8.0 * n_modes * seen * math.sqrt(seen)  # products, not **, so overflow gives inf
-    if not (math.isfinite(_TWO_PI * grad * grad) and math.isfinite(total * math.sqrt(total))):
+    if not (math.isfinite(_TWO_PI * grad * grad) and math.isfinite(p_star * math.sqrt(p_star))):
         raise ValueError(
             f"mass target {m_star:g} and momentum target {p_star:g} are too large for {n_modes} "
             f"modes: the squared gradient 2 pi (8 N S^1.5)^2 with S = {seen:g}, or the cube "
@@ -139,27 +131,21 @@ def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarr
 def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
     """``project_to_constraints`` on raw coefficients, for a validated target."""
     n = a.size
-    power = np.abs(a) ** 2
-    total = float(power.sum())
+    total = float((np.abs(a) ** 2).sum())
     if total == 0.0:
         raise ValueError("cannot project the zero state onto a positive-size constraint set")
-    k = np.arange(1, n + 1, dtype=float)
-
-    if target.mode == "mass_only":
-        return a * np.sqrt(target.mass_target / (_TWO_PI * float((power / k).sum())))
+    m_star, p_star = target.mass_target, target.momentum_target
     # the projection is scale-equivariant: start from a at P = P*, so that the
     # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale
-    a = a * np.sqrt(target.momentum_target / (_TWO_PI * total))
-    if target.mode == "momentum_only":
-        return a
+    a = a * np.sqrt(p_star / (_TWO_PI * total))
 
-    m_star, p_star = target.mass_target, target.momentum_target
     # boundary ratios force all weight onto a single mode
     if abs(m_star - p_star) <= _BOUNDARY_RTOL * p_star:
         return _single_mode_projection(a, 1, p_star)
     if abs(m_star - p_star / n) <= _BOUNDARY_RTOL * p_star:
         return _single_mode_projection(a, n, p_star)
 
+    k = np.arange(1, n + 1, dtype=float)
     power = np.abs(a) ** 2
     p_goal = p_star / _TWO_PI
     m_goal = m_star / _TWO_PI
@@ -207,8 +193,7 @@ def project_to_constraints(state: SpectralState, target: ConstraintTarget) -> Sp
     """Nearest point (in the P-metric) on the constraint set.
 
     Uses the rational reweighting b_k = a_k / (1 + alpha + beta/k) that
-    solves the metric-projection stationarity conditions; single-constraint
-    modes reduce to a pure rescaling.
+    solves the metric-projection stationarity conditions.
     """
     target.validate_for(state.n_modes)
     return state.with_coeffs(_project_raw(np.array(state.coeffs), target))
@@ -318,18 +303,16 @@ def _gauge_fix(a: np.ndarray) -> np.ndarray:
 
 def _violation(state: SpectralState, target: ConstraintTarget) -> tuple:
     m_val, p_val = mass(state), momentum(state)
-    vm = abs(m_val - target.mass_target) / target.mass_target if target.mode in ("both", "mass_only") else 0.0
-    vp = abs(p_val - target.momentum_target) / target.momentum_target if target.mode in ("both", "momentum_only") else 0.0
-    return (vm, vp)
+    return (abs(m_val - target.mass_target) / target.mass_target,
+            abs(p_val - target.momentum_target) / target.momentum_target)
 
 
 def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: MinimizeOptions, seed):
     a = _project_raw(a0, target)
     energy, cubic = _energy_and_gradient(a, sigma)
     history = [energy]
-    # mass_only leaves P free; the projected start's P sets the scale
-    p_scale = p_norm(a) ** 2 if target.mode == "mass_only" else target.momentum_target
-    step0, max_step = _STEP0 * (_TWO_PI / p_scale), _MAX_STEP * (_TWO_PI / p_scale)
+    p_star = target.momentum_target
+    step0, max_step = _STEP0 * (_TWO_PI / p_star), _MAX_STEP * (_TWO_PI / p_star)
     step = step0
     converged = False
     stall = 0

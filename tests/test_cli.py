@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +430,26 @@ def test_minimize_equality_target(tmp_path):
     assert rec["state"]["n_modes"] == 8
 
 
+def test_minimize_takes_n_from_a_snapshot_init(tmp_path, capsys):
+    snap = tmp_path / "snap.json"
+    write_snapshot(seeded_state(0, 4, 3), str(snap))
+    out = tmp_path / "min.jsonl"
+    # --n-modes keeps its default, 32: the snapshot's 4 modes set N
+    argv = ["minimize", "--init", f"file:{snap}", "--n-starts", "1", "--out", str(out)]
+    assert main(argv + ["--mass-target", "2", "--momentum-target", "4"]) == 0
+    records = read_records(out)
+    assert records[0]["config"]["n_modes"] == 4
+    assert records[0]["config"]["init"] == f"file:{snap}"
+    rec = by_kind(records, "minimizer")[0]
+    assert rec["state"]["n_modes"] == 4
+    assert max(rec["constraint_violation"]) <= 1e-10
+    # M*/P* = 0.1 is feasible at 32 modes but below 1/N at the snapshot's 4
+    out.unlink()
+    assert main(argv + ["--mass-target", "0.4", "--momentum-target", "4"]) == 1
+    assert not out.exists()
+    assert "truncation at 4 modes" in _stderr_error(capsys)["message"]
+
+
 def test_minimize_infeasible_target_exit_code():
     assert main([
         "minimize", "--sigma", "0", "--n-modes", "8",
@@ -557,6 +579,9 @@ def test_parse_errors_are_json(capsys, argv):
     (["minimize", "--mass-target", "1", "--momentum-target", "2", "--max-iter", "0"], "--max-iter"),
     (["simulate", "--n-modes", "0"], "--n-modes"),
     (["invariants", "--n-modes", "-3"], "--n-modes"),
+    (["verify", "--seed", "-1"], "--seed"),
+    (["bench", "--seed=-1", "--sizes", "4"], "--seed"),
+    (["minimize", "--mass-target", "1", "--momentum-target", "2", "--seed", "-1"], "--seed"),
 ])
 def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag):
     out = tmp_path / "run.jsonl"
@@ -600,12 +625,19 @@ def test_selftest_is_verify(tmp_path):
 
 def test_readme_command_block_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
-    commands = [line.split("#", 1)[0].split() for line in block.splitlines()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```sh")[1:]]
+    commands = [line.split("#", 1)[0].split() for block in blocks for line in block.splitlines()
                 if line.startswith("filament ")]
     assert len(commands) >= 8
+    parser = build_parser()
     for words in commands:
-        build_parser().parse_args(words[1:])  # raises on a renamed command or flag
+        parser.parse_args(words[1:])  # raises on a renamed command or flag
+    # every long flag of every subcommand is documented
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {flag for sub in subparsers.choices.values() for action in sub._actions
+             for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
+    missing = sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme))
+    assert not missing, f"flags missing from README.md: {missing}"
 
 
 @pytest.mark.parametrize("argv", [

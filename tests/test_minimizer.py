@@ -20,8 +20,8 @@ def test_target_validation():
         ConstraintTarget(mass_target=-1.0, momentum_target=1.0)
     with pytest.raises(ValueError):
         ConstraintTarget(mass_target=1.0, momentum_target=0.0)
-    with pytest.raises(ValueError):
-        ConstraintTarget(mass_target=1.0, momentum_target=1.0, mode="all")
+    with pytest.raises(TypeError):  # both targets are required
+        ConstraintTarget(mass_target=1.0)
     # infeasible band: M* > P* and M* < P*/N
     with pytest.raises(ValueError):
         ConstraintTarget(mass_target=2.0, momentum_target=1.0).validate_for(8)
@@ -72,14 +72,6 @@ def test_projection_far_from_the_start_scale(n, p_star):
     proj = project_to_constraints(st, target)
     assert abs(mass(proj) - p_star / 2) / (p_star / 2) <= 1e-12
     assert abs(momentum(proj) - p_star) / p_star <= 1e-12
-
-
-def test_projection_single_constraint_modes():
-    st = seeded_state(0, 6, 2)
-    pm = project_to_constraints(st, ConstraintTarget(momentum_target=5.0, mode="momentum_only"))
-    assert momentum(pm) == pytest.approx(5.0, rel=1e-13)
-    mm = project_to_constraints(st, ConstraintTarget(mass_target=0.5, mode="mass_only"))
-    assert mass(mm) == pytest.approx(0.5, rel=1e-13)
 
 
 def test_projection_rejects_zero_state():
