@@ -21,26 +21,32 @@ steps, extrapolated to the new step (Hairer, Lubich and Wanner, *Geometric
 Numerical Integration*, sec. VIII.6): with the last n <= q slopes f_0, f_1, ...,
 newest first, the start is a + dt * sum_j (-1)^j C(n, j+1) f_j, accurate
 to O(dt^(n+1)) at no right-hand-side evaluation.  The slopes live in a
-``StepMemory`` that the caller owns, one per run; without history the
-solve starts from the explicit Euler guess a + dt f(a).  The memory also
-counts right-hand-side evaluations and the largest midpoint iteration count.
+``StepMemory`` that the caller owns, one per run: a zero-initialised (q, N)
+ring whose newest row is ``head``, so f_j sits on row (head - j) mod q.
+The dt-scaled weights dt (-1)^j C(n, j+1) are cached on those rows per
+(n, head), which makes the start one dot of the weights with the ring plus
+one add, and keeping a slope one row write.  Without history the solve
+starts from the explicit Euler guess a + dt f(a).  The memory binds the
+right-hand side of the run's (N, sigma) once, rebinds and drops its slopes
+when N, sigma, the scheme or dt changes, and counts right-hand-side
+evaluations and the largest midpoint iteration count.
 
 Diagnostics along a trajectory take the energy from the pairing identity
-E = 4 Re <a, Q^N C_sigma a> on the same truncated kernel; it is exact (it
-agrees with the layer-cake reference to rounding), so measured drift is
-integration error and nothing else.
+E = 4 Re <a, Q^N C_sigma a> on the same truncated kernel (see
+``filament.invariants.invariant_report``); it is exact (it agrees with the
+layer-cake reference to rounding), so measured drift is integration error
+and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .spectral import SpectralState, p_norm
-from .nonlinearity import _rhs_raw
+from .nonlinearity import _kernels, _rhs_raw
 from .invariants import InvariantReport, invariant_report
 
 __all__ = [
@@ -141,7 +147,7 @@ def sample_record(t: float, report: InvariantReport) -> dict:
     (finite coefficients can still overflow the quartic E or an H^s norm)."""
     rec = {"t": t, **report.to_record()}
     overflowed = [key for key, value in rec.items()
-                  if isinstance(value, float) and not np.isfinite(value)]
+                  if isinstance(value, float) and not math.isfinite(value)]
     if overflowed:
         raise StepFailure(t, 0, np.inf, f"{', '.join(overflowed)} overflowed at t = {t:g}")
     return rec
@@ -152,11 +158,11 @@ def rhs(state: SpectralState) -> SpectralState:
     return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma))
 
 
-def _rk4_step(a, dt, sigma):
-    k1 = _rhs_raw(a, sigma)
-    k2 = _rhs_raw(a + 0.5 * dt * k1, sigma)
-    k3 = _rhs_raw(a + 0.5 * dt * k2, sigma)
-    k4 = _rhs_raw(a + dt * k3, sigma)
+def _rk4_step(a, dt, f):
+    k1 = f(a)
+    k2 = f(a + 0.5 * dt * k1)
+    k3 = f(a + 0.5 * dt * k2)
+    k4 = f(a + dt * k3)
     k2 += k3  # k1 + 2 k2 + 2 k3 + k4 in place: 6 array operations, not 7
     k2 *= 2.0
     k2 += k1
@@ -165,46 +171,94 @@ def _rk4_step(a, dt, sigma):
 
 
 class StepMemory:
-    """The stepper's state across the steps of one run, owned by the caller.
+    """The workspace of one run's steps, owned by the caller.
 
-    ``slopes`` holds the last converged implicit-midpoint slopes, newest
-    first, from which each solve starts; ``rhs_evals`` and
-    ``midpoint_max_iterations`` count the work done.  RK4 steps add only to
-    ``rhs_evals``.  Start a fresh memory for each run: the slopes describe
-    the trajectory they came from.
+    It holds the right-hand side bound to the run's (N, sigma), the last
+    q converged implicit-midpoint slopes (``slopes``, newest first) from
+    which each solve starts, and the counts of the work done:
+    ``rhs_evals`` and ``midpoint_max_iterations``; RK4 steps add only to
+    ``rhs_evals``.  A step of another N, sigma, scheme or dt rebinds it and
+    drops the slopes, which describe another problem; the counts stay.
+    Start a fresh memory for each run: the slopes describe the trajectory
+    they came from.
     """
 
     def __init__(self):
-        self.slopes = deque(maxlen=_PREDICTOR_SLOPES)
         self.rhs_evals = 0
         self.midpoint_max_iterations = 0
+        self._problem = None  # (N, sigma, scheme, dt) of the bound workspace
+
+    def _bind(self, n, sigma, config):
+        problem = (n, sigma, config.scheme, config.dt)
+        if problem == self._problem:
+            return
+        self._problem = problem
+        self._rhs = _kernels(n, sigma).rhs
+        # zeros, not empty: a row not yet written meets a zero weight, and
+        # 0 times an uninitialised nan or inf is nan
+        self._ring = np.zeros((_PREDICTOR_SLOPES, n), dtype=np.complex128)
+        self._count = 0  # slopes held
+        self._head = 0  # row of the newest slope
+        self._weights = {}  # (count, head) -> predictor weights on the ring rows
+
+    @property
+    def slopes(self) -> tuple:
+        """Copies of the held midpoint slopes, newest first."""
+        if self._problem is None:
+            return ()
+        rows = (self._head - np.arange(self._count)) % _PREDICTOR_SLOPES
+        return tuple(self._ring[rows].copy())
+
+    def _predict(self, a):
+        """a + dt sum_j (-1)^j C(n, j+1) f_j over the n held slopes f_j,
+        newest first: one dot of the cached weights with the ring, one add."""
+        key = (self._count, self._head)
+        weights = self._weights.get(key)
+        if weights is None:
+            dt = self._problem[3]
+            weights = np.zeros(_PREDICTOR_SLOPES, dtype=np.complex128)
+            for j in range(self._count):
+                weights[(self._head - j) % _PREDICTOR_SLOPES] = (
+                    dt * (-1) ** j * math.comb(self._count, j + 1))
+            self._weights[key] = weights
+        new = weights.dot(self._ring)
+        new += a
+        return new
+
+    def _push(self, slope):
+        self._head = (self._head + 1) % _PREDICTOR_SLOPES
+        self._ring[self._head] = slope
+        self._count = min(self._count + 1, _PREDICTOR_SLOPES)
 
     def counters(self) -> dict:
         return {"rhs_evals": self.rhs_evals,
                 "midpoint_max_iterations": self.midpoint_max_iterations}
 
 
-def _midpoint_step(a, dt, sigma, t, memory):
-    n = len(memory.slopes)
-    if n:  # the past slopes extrapolated to this step (module docstring)
-        new = a + dt * sum((-1) ** j * math.comb(n, j + 1) * f
-                           for j, f in enumerate(memory.slopes))
+def _midpoint_step(a, dt, t, memory):
+    f = memory._rhs
+    if memory._count:  # the past slopes extrapolated to this step (module docstring)
+        new = memory._predict(a)
     else:
-        new = a + dt * _rhs_raw(a, sigma)  # explicit Euler predictor
+        new = dt * f(a)  # explicit Euler predictor
+        new += a
         memory.rhs_evals += 1
-    residual = np.inf
+    residual = math.inf
     for it in range(1, _MIDPOINT_MAX_ITER + 1):
-        slope = _rhs_raw(0.5 * (a + new), sigma)
-        target = a + dt * slope
-        d = target - new
-        residual = float(np.sqrt(np.vdot(d, d).real))  # 2-norm, cheaper than linalg.norm
+        mid = a + new
+        mid *= 0.5
+        slope = f(mid)
+        target = dt * slope
+        target += a
+        new -= target  # the update, in place: new is replaced by target below
+        residual = math.sqrt(np.vdot(new, new).real)  # 2-norm, cheaper than linalg.norm
         new = target
         if residual <= _MIDPOINT_TOL:
-            memory.slopes.appendleft(slope)
+            memory._push(slope)
             memory.rhs_evals += it
             memory.midpoint_max_iterations = max(memory.midpoint_max_iterations, it)
             return new
-        if not np.isfinite(residual):
+        if not math.isfinite(residual):
             break
     raise StepFailure(t, it, residual, (
         f"implicit midpoint did not converge at t = {t:g} ({it} iterations, "
@@ -213,13 +267,14 @@ def _midpoint_step(a, dt, sigma, t, memory):
 
 def _advance(a, sigma, config, t, memory=None):
     memory = StepMemory() if memory is None else memory
+    memory._bind(a.size, sigma, config)
     # an overflowing step is caught by the finiteness test, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if config.scheme == "rk4":
-            out = _rk4_step(a, config.dt, sigma)
+            out = _rk4_step(a, config.dt, memory._rhs)
             memory.rhs_evals += 4
         else:
-            out = _midpoint_step(a, config.dt, sigma, t, memory)
+            out = _midpoint_step(a, config.dt, t, memory)
     if not np.isfinite(out).all():
         raise StepFailure(t, 0, np.inf, f"{config.scheme} step from t = {t:g} "
                           "produced non-finite coefficients")
@@ -234,7 +289,8 @@ def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
     slopes and to count the work; without one the solve starts from the
     explicit Euler guess.
     """
-    return state.with_coeffs(_advance(state.coeffs, state.sigma, config, t, memory))
+    out = _advance(state.coeffs, state.sigma, config, t, memory)
+    return SpectralState._adopt(state.sigma, out)  # out is the step's own array
 
 
 def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Trajectory:

@@ -38,10 +38,17 @@ pairing the gradient identity with u gives
 
 which :func:`pairing_check` verifies numerically.  The pairing needs modes
 1..N of C_sigma only, so E = 4 Re <a, Q^N C_sigma a> is also an exact
-energy route on the truncated kernel of ``filament.nonlinearity``
-(one O(N^2) Toeplitz mat-vec up to ``_TOEPLITZ_MAX_N``, an O(N log N)
-grid above): that is the per-sample energy of
-:func:`invariant_report`; the layer cake stays the reference.
+energy route on the truncated kernel of ``filament.nonlinearity``: that is
+the per-sample energy of :func:`invariant_report`.  Up to
+``_TOEPLITZ_MAX_N`` it is one O(N^2) Toeplitz mat-vec.  Above, the pairing
+is written out on the kernel's grid of M >= 2N - 1 points, with s = |u|^2
+and F = rfft(s),
+
+    E_0 = (4/M) [sum_x s Re(conj(u) Lu) - (1/M) sum_f |f| |F_f|^2],
+
+one batched inverse transform for u and Lu and one rfft, O(N log N), where
+the kernel takes four; sigma = 1 takes the index shift.  The layer cake
+stays the reference.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import SpectralState, dealiased_grid_size, _synthesize
-from .nonlinearity import _c_sigma_direct_raw, _c_sigma_trunc_raw, _midpoint_rule
+from .nonlinearity import (_c_sigma_direct_raw, _c_sigma_trunc_raw, _grid_fields, _midpoint_rule,
+                           _on_toeplitz, _trunc_constants)
 
 __all__ = [
     "InvariantReport",
@@ -124,14 +132,22 @@ def energy_quadrature(state: SpectralState, n_quad: int) -> float:
     return float(gagliardo / (u.size * n_quad) - 4.0 * state.sigma * np.mean(s * s))
 
 
+def _momentum_mass_raw(a: np.ndarray) -> tuple:
+    """P and M of the coefficients a, from one |a|^2."""
+    sq = a.real * a.real
+    sq += a.imag * a.imag
+    return (float(_TWO_PI * sq.sum()),
+            float(_TWO_PI * (sq / np.arange(1.0, a.size + 1.0)).sum()))
+
+
 def momentum(state: SpectralState) -> float:
     """P = 2pi sum |a_k|^2 (the squared L^2 norm of the field)."""
-    return float(_TWO_PI * np.sum(np.abs(state.coeffs) ** 2))
+    return _momentum_mass_raw(state.coeffs)[0]
 
 
 def mass(state: SpectralState) -> float:
     """M = 2pi sum |a_k|^2 / k (squared norm of the half-antiderivative)."""
-    return float(_TWO_PI * np.sum(np.abs(state.coeffs) ** 2 / state.modes))
+    return _momentum_mass_raw(state.coeffs)[1]
 
 
 def first_mode(state: SpectralState) -> complex:
@@ -225,23 +241,53 @@ class InvariantReport:
         return rec
 
 
+def _energy_grid_raw(a: np.ndarray, sigma: int) -> float:
+    """E_sigma(a) = E_0(a[sigma:]) on the grid of the truncated kernel,
+    two transforms: with u, Lu and s = |u|^2 of ``_grid_fields`` on M points,
+
+        E_0 = (4/M) [sum_x s Re(conj(u) Lu) - (1/M) sum_f |f| |F_f|^2],
+
+    F = rfft(s) summed over f and -f, the second term being sum_x s Ls by
+    Parseval.  Exact on M >= 2N - 1 points: s has modes 1-N..N-1, and
+    conj(u) times the cubic product sees modes 1..N of it only."""
+    b = a[sigma:]
+    consts = _trunc_constants(b.size)
+    u, lam_u, s = _grid_fields(b, consts)
+    cross = u.real * lam_u.real
+    cross += u.imag * lam_u.imag
+    f = np.fft.rfft(s)
+    power = f.real * f.real
+    power += f.imag * f.imag
+    power[1 : (consts.m + 1) // 2] *= 2.0  # bins f and -f; 0 and M/2 are their own mirror
+    return 4.0 / consts.m * (s.dot(cross) - consts.absf.dot(power))
+
+
 def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
     """Compute all conserved quantities.
 
-    The energy is the pairing 4 Re <a, Q^N C_sigma a> on the truncated
-    kernel (Euler's relation for the quartic E and the gradient identity
-    dE/d conj(a_p) = 8 C_p): exact like :func:`energy_spectral` (they agree
-    to rounding) at the kernel's cost, O(N^2) up to ``_TOEPLITZ_MAX_N``
-    and O(N log N) above, so it is the per-sample diagnostic of every
-    trajectory.  A value beyond the float range comes out non-finite,
-    without a warning, for ``integrator.sample_record`` to reject.
+    The energy is exact like :func:`energy_spectral` (they agree to
+    rounding) at no more than the cost of one kernel call, so it is the
+    per-sample diagnostic of every trajectory: up to ``_TOEPLITZ_MAX_N``
+    the pairing 4 Re <a, Q^N C_sigma a> on the Toeplitz kernel (Euler's
+    relation for the quartic E and the gradient identity
+    dE/d conj(a_p) = 8 C_p), O(N^2); above, ``_energy_grid_raw``, the same
+    pairing written on the kernel's grid with two transforms, O(N log N).
+    P and M share one |a|^2.  A value beyond the float range comes out
+    non-finite, without a warning, for ``integrator.sample_record`` to
+    reject.
     """
     a = state.coeffs
+    sigma = state.sigma
     with np.errstate(over="ignore", invalid="ignore"):
+        if _on_toeplitz(a.size, sigma):
+            energy = 4.0 * np.vdot(a, _c_sigma_trunc_raw(a, sigma)).real
+        else:
+            energy = _energy_grid_raw(a, sigma)
+        p, m = _momentum_mass_raw(a)
         return InvariantReport(
-            energy=4.0 * np.vdot(a, _c_sigma_trunc_raw(a, state.sigma)).real,
-            momentum=momentum(state),
-            mass=mass(state),
+            energy=float(energy),
+            momentum=p,
+            mass=m,
             a1=first_mode(state),
             h_s_norms={float(s): sobolev_norm(state, s) for s in h_s},
         )

@@ -25,19 +25,24 @@ For bandwidth-N input the output is supported on modes 1..2N-1 exactly;
 ``coeffs_full`` carries that whole support and ``coeffs_truncated`` its
 first N entries (the sharp-cutoff Galerkin nonlinearity).
 
-One private kernel, ``_c_sigma_trunc_raw``, computes modes 1..N of the
-operator for bandwidth-N input, in one of two forms by N:
+One private kernel, ``_kernels(N, sigma)``, computes modes 1..N of the
+operator for bandwidth-N input, and the right-hand side i p of them of the
+truncated flow, each as a function of the coefficients with its form and
+constants bound once per (N, sigma), in one of two forms by N:
 
 - N <= ``_TOEPLITZ_MAX_N``: the unsymmetrized triple sum as one Toeplitz
   mat-vec, C_p = sum_k W[p, k] c_{p-k} a_k with c = |u|^2 on modes
-  1-N..N-1 and the cached weight W = k - |k-p| - sigma (``_toeplitz_raw``;
-  ``_rhs_raw``, the right-hand side of the flow, folds i p into a second
-  cached weight);
+  1-N..N-1 and the weight W = k - |k-p| - sigma (``_toeplitz_raw``; the
+  right-hand side folds i p into a second weight);
 - above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
-  the cubic product are alias-free.
+  the cubic product are alias-free (``_grid_raw``).  Its transforms do not
+  scale; the 1/M factors are folded into the symbol of L and into the
+  output scale, 1/M or i p/M.
 
-The flow and the minimizer call it on the state; ``c_sigma_fast`` calls it
-on the state zero-padded to 2N - 1 modes, whose modes 1..2N-1 are the whole
+``_c_sigma_trunc_raw`` and ``_rhs_raw`` look the pair up per call; a run
+binds the right-hand side once (``integrator.StepMemory``).  The flow and
+the minimizer call the kernel on the state; ``c_sigma_fast`` calls it on
+the state zero-padded to 2N - 1 modes, whose modes 1..2N-1 are the whole
 support.  Both forms reduce sigma = 1 to sigma = 0 on a_2..a_N by the same
 index shift.
 """
@@ -125,17 +130,15 @@ _TOEPLITZ_MAX_N = 120
 
 def _on_toeplitz(n: int, sigma: int) -> bool:
     """Whether the truncated kernel takes the Toeplitz form at N = n.  At
-    N = 1, sigma = 1 the mat-vec has nothing to correlate; the sigma = 1
-    shift of ``_c_sigma_trunc_raw`` gives the output 0 there."""
+    N = 1, sigma = 1 the mat-vec has nothing to correlate; the grid form's
+    sigma = 1 shift, on no modes and a one-point grid, gives the output 0
+    there."""
     return sigma < n <= _TOEPLITZ_MAX_N
 
 
 _Toeplitz = namedtuple("_Toeplitz", "index weight rhs_weight")
 
 
-# an entry holds 40 N^2 bytes (int64 index, two complex128 weights): at most
-# 24 x 40 x 120^2 = 13.8 MB at _TOEPLITZ_MAX_N
-@functools.lru_cache(maxsize=24)
 def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
     """Per-(N, sigma) constants of the Toeplitz mat-vec, read-only: the
     index of c_{p-k} in ``np.correlate``'s output, the weight W and i p W,
@@ -155,9 +158,9 @@ def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
     return consts
 
 
-def _toeplitz_raw(a: np.ndarray, sigma: int, rhs: bool = False) -> np.ndarray:
-    """Modes 1..N of C_sigma, or of i p C_sigma with ``rhs``, for the sizes
-    of ``_on_toeplitz``.
+def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Modes 1..N of C_sigma with the weight W, or of i p C_sigma with i p W,
+    of ``_toeplitz_constants``, for the sizes of ``_on_toeplitz``.
 
     One Toeplitz mat-vec: c_s = sum_{l-m=s} a_l conj(a_m) is |u|^2, and
     C_p = sum_k W[p, k] c_{p-k} a_k is the unsymmetrized triple sum.  At
@@ -166,81 +169,107 @@ def _toeplitz_raw(a: np.ndarray, sigma: int, rhs: bool = False) -> np.ndarray:
     exactly 0; keeping those terms would cancel them in rounding, which
     loses digits when a_1 dominates.
     """
-    index, weight, rhs_weight = _toeplitz_constants(a.size, sigma)
     b = a[sigma:]
     t = np.correlate(b, b, "full")[index]
-    t *= rhs_weight if rhs else weight
+    t *= weight
     return t.dot(a)
 
 
-_TruncConstants = namedtuple("_TruncConstants", "k absf m ik")
+_TruncConstants = namedtuple("_TruncConstants", "k absf m")
 
 
 @functools.lru_cache(maxsize=64)
 def _trunc_constants(n: int) -> _TruncConstants:
     """Per-bandwidth constants of the grid form, read-only: k = 1..N, the
-    rfft symbol |f|, the grid size M and i*k.  M is the smallest 11-smooth
-    length >= 2N (for numpy.fft), so M >= 2N-1 and modes 1..N of the cubic
-    product are alias-free."""
+    rfft symbol |f| of L with the inverse transform's 1/M folded in, and the
+    grid size M.  M is the smallest 11-smooth length >= 2N (for numpy.fft),
+    so M >= 2N-1 and modes 1..N of the cubic product are alias-free."""
     m = _next_fast_len(2 * n)
-    k = np.arange(1.0, n + 1.0)
-    consts = _TruncConstants(k, np.arange(m // 2 + 1.0), m, 1j * k)
-    for arr in (consts.k, consts.absf, consts.ik):
+    consts = _TruncConstants(np.arange(1.0, n + 1.0), np.arange(m // 2 + 1.0) / m, m)
+    for arr in (consts.k, consts.absf):
         arr.flags.writeable = False
     return consts
 
 
-def _c_zero_raw(a: np.ndarray) -> np.ndarray:
-    """Modes 1..N of the sigma = 0 operator |u|^2 Lu - u L|u|^2 on the grid
-    of ``_trunc_constants``: the product spans modes 2-N..2N-1, so on
-    M >= 2N - 1 points modes 1..N are alias-free.
-    """
-    n = a.size
-    k, absf, m, _ = _trunc_constants(n)
-    spec = np.zeros((2, m), dtype=np.complex128)
-    spec[0, 1 : n + 1] = a
-    spec[1, 1 : n + 1] = k * a
+def _grid_fields(b: np.ndarray, consts: _TruncConstants):
+    """u, Lu and |u|^2 of the bandwidth-n coefficients b on the grid of
+    ``_trunc_constants(n)``: one batched inverse transform, unscaled."""
+    n = b.size
+    spec = np.zeros((2, consts.m), dtype=np.complex128)
+    spec[0, 1 : n + 1] = b
+    np.multiply(consts.k, b, out=spec[1, 1 : n + 1])
     u, lam_u = np.fft.ifft(spec, norm="forward")
-    # in-place products: each saved temporary is worth ~1 us at M ~ 512, about
-    # what numpy.fft's complex transforms cost over scipy.fft's there
     usq = u.real * u.real
     usq += u.imag * u.imag
+    return u, lam_u, usq
+
+
+def _grid_raw(a: np.ndarray, sigma: int, consts: _TruncConstants, scale) -> np.ndarray:
+    """Modes 1..N of M C_sigma on the grid, times ``scale``: 1/M gives
+    C_sigma, i p/M the right-hand side.
+
+    The sigma = 0 operator |u|^2 Lu - u L|u|^2 acts on b = a[sigma:], n
+    modes: its product spans modes 2-n..2n-1, so on M >= 2n - 1 points modes
+    1..n are alias-free, and at sigma = 1 its mode p is mode p + 1 of the
+    output (see ``_kernels``).  No transform scales: the 1/M factors sit in
+    ``consts.absf`` and ``scale``, exactly so at power-of-two M.
+    """
+    u, lam_u, usq = _grid_fields(a[sigma:], consts)
+    # in-place products: each saved temporary is worth ~1 us at M ~ 512, about
+    # what numpy.fft's complex transforms cost over scipy.fft's there
     f = np.fft.rfft(usq)
-    f *= absf
-    lam_usq = np.fft.irfft(f, m)
+    f *= consts.absf
+    lam_usq = np.fft.irfft(f, consts.m, norm="forward")
     lam_u *= usq
     lam_u -= u * lam_usq
-    return np.fft.fft(lam_u, norm="forward")[1 : n + 1]
+    out = np.fft.fft(lam_u)[1 - sigma : a.size + 1 - sigma]
+    out *= scale
+    if sigma:
+        out[0] = 0.0
+    return out
 
 
-def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
-    """Q^N C_sigma: modes 1..N of the operator, for bandwidth-N input.
+_Kernels = namedtuple("_Kernels", "c_sigma rhs")
+
+
+# an entry holds 40 N^2 bytes (int64 index, two complex128 weights) on the
+# Toeplitz sizes: at most 24 x 40 x 120^2 = 13.8 MB at _TOEPLITZ_MAX_N
+@functools.lru_cache(maxsize=24)
+def _kernels(n: int, sigma: int) -> _Kernels:
+    """Q^N C_sigma and the right-hand side i p [Q^N C_sigma]_p of the
+    truncated flow at bandwidth N = n, each a function of the coefficients
+    with its form and constants bound: the Toeplitz mat-vec on the sizes of
+    ``_on_toeplitz``, else the grid.
 
     min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1) on the interaction set, and
     any shifted index hitting 0 kills the weight, so the sigma = 1 operator
     is the sigma = 0 one acting on (a_2, ..., a_N) shifted up one mode.
-    This avoids subtracting the nearly-cancelling |u|^2 u term and makes the
-    vanishing of the mode-1 output exact.
+    Both forms take that shift: it avoids subtracting the nearly-cancelling
+    |u|^2 u term and makes the vanishing of the mode-1 output exact.
     """
-    n = a.size
     if _on_toeplitz(n, sigma):
-        return _toeplitz_raw(a, sigma)
-    if sigma == 0:
-        return _c_zero_raw(a)
-    out = np.zeros(n, dtype=np.complex128)
-    if n >= 2:
-        out[1:] = _c_zero_raw(a[1:])
-    return out
+        index, weight, rhs_weight = _toeplitz_constants(n, sigma)
+        return _Kernels(lambda a: _toeplitz_raw(a, sigma, index, weight),
+                        lambda a: _toeplitz_raw(a, sigma, index, rhs_weight))
+    consts = _trunc_constants(n - sigma)
+    inv_m = 1.0 / consts.m
+    ip_m = 1j * (np.arange(1.0, n + 1.0) * inv_m)
+    ip_m.flags.writeable = False
+    return _Kernels(lambda a: _grid_raw(a, sigma, consts, inv_m),
+                    lambda a: _grid_raw(a, sigma, consts, ip_m))
+
+
+def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:
+    """Q^N C_sigma: modes 1..N of the operator, for bandwidth-N input."""
+    return _kernels(a.size, sigma).c_sigma(a)
 
 
 def _rhs_raw(a: np.ndarray, sigma: int) -> np.ndarray:
     """i p [Q^N C_sigma]_p, the right-hand side of the truncated flow: the
-    Toeplitz mat-vec with i p folded into its weight on the branch where
-    ``_c_sigma_trunc_raw`` takes it, else i p times that kernel."""
-    n = a.size
-    if _on_toeplitz(n, sigma):
-        return _toeplitz_raw(a, sigma, rhs=True)
-    return _trunc_constants(n).ik * _c_sigma_trunc_raw(a, sigma)
+    Toeplitz mat-vec with i p folded into its weight, or the grid with i p
+    folded into its output scale.  A run binds ``_kernels(N, sigma).rhs``
+    once instead, the same function."""
+    return _kernels(a.size, sigma).rhs(a)
 
 
 def c_sigma_direct(state: SpectralState) -> NonlinearityResult:

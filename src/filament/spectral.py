@@ -74,6 +74,17 @@ class SpectralState:
     def with_coeffs(self, coeffs) -> "SpectralState":
         return SpectralState(self.sigma, coeffs)
 
+    @classmethod
+    def _adopt(cls, sigma: int, coeffs: np.ndarray) -> "SpectralState":
+        """A state on ``coeffs`` itself, made read-only, without the checks
+        and the copy of the constructor: only for a fresh 1-d complex128
+        array that no other code holds, such as a step's output."""
+        state = object.__new__(cls)
+        coeffs.flags.writeable = False
+        object.__setattr__(state, "sigma", sigma)
+        object.__setattr__(state, "coeffs", coeffs)
+        return state
+
 
 def _synthesize(coeffs: np.ndarray, grid_size: int) -> np.ndarray:
     """Exact synthesis of positive modes 1..N on an M-point grid (M >= N+1)."""

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
+from filament.integrator import StepperConfig, simulate
+from filament.invariants import mass, momentum
 from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
 
@@ -689,18 +691,55 @@ def test_trajectory_records_match_cli_samples(tmp_path):
     assert simulate(seeded_state(1, 6, 3), cfg, h_s=(1.0, 2.5)).records() == samples
 
 
-def test_benchmark_trace_points_still_see_the_run(tmp_path, monkeypatch):
-    # perfbench/run.py traces `simulate` by patching names in filament.cli
+def _traced_span_counts(monkeypatch, argv):
+    """Span counts of one ``main(argv)`` under perfbench/run.py's tracer,
+    which traces `simulate` by patching names in filament.cli."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import run
 
     run.load_package()
     tracer = run.Tracer()
     with tracer.patched():
-        assert main(["simulate", "--n-modes", "4", "--dt", "1e-3", "--t-end", "4e-3",
-                     "--sample-every", "2", "--snapshots", str(tmp_path / "snaps"),
-                     "--out", str(tmp_path / "run.jsonl")]) == 0
+        assert main(argv) == 0
     counts = {}
     for span in tracer.spans:
         counts[span["name"]] = counts.get(span["name"], 0) + 1
+    return counts
+
+
+def test_benchmark_trace_points_still_see_the_run(tmp_path, monkeypatch):
+    counts = _traced_span_counts(monkeypatch, [
+        "simulate", "--n-modes", "4", "--dt", "1e-3", "--t-end", "4e-3",
+        "--sample-every", "2", "--snapshots", str(tmp_path / "snaps"),
+        "--out", str(tmp_path / "run.jsonl")])
     assert counts == {"step": 4, "invariant_report": 3, "write_snapshot": 3}
+
+
+def test_benchmark_trace_points_see_each_midpoint_step(tmp_path, monkeypatch):
+    # the traced conserve-n256 run: one `step` span per midpoint step, on the grid kernel
+    counts = _traced_span_counts(monkeypatch, [
+        "simulate", "--scheme", "midpoint", "--n-modes", "256", "--dt", "1e-4",
+        "--t-end", "5e-4", "--sample-every", "2", "--out", str(tmp_path / "run.jsonl")])
+    assert counts == {"step": 5, "invariant_report": 4}
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
+@pytest.mark.parametrize("n_modes", [16, 130])  # the Toeplitz and the grid kernel
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_simulate_samples_are_the_library_records(tmp_path, scheme, n_modes, sigma):
+    # the CLI's stepping loop and simulate() give the same records, bit for bit
+    out = tmp_path / "run.jsonl"
+    assert main(["simulate", "--scheme", scheme, "--sigma", str(sigma),
+                 "--n-modes", str(n_modes), "--init", "random", "--seed", "3",
+                 "--dt", "1e-4", "--t-end", "1e-3", "--sample-every", "3",
+                 "--hs", "1", "--out", str(out)]) == 0
+    samples = [{k: v for k, v in r.items() if k != "record"}
+               for r in by_kind(read_records(out), "sample")]
+    config = StepperConfig(scheme="implicit_midpoint" if scheme == "midpoint" else scheme,
+                           dt=1e-4, t_end=1e-3, sample_every=3)
+    traj = simulate(seeded_state(sigma, n_modes, 3), config, h_s=(1.0,))
+    assert len(samples) == 5
+    assert samples == traj.records()
+    for state, report in zip(traj.states, traj.reports):
+        assert report.momentum == momentum(state)
+        assert report.mass == mass(state)

@@ -7,6 +7,7 @@ from filament.integrator import (
     StepFailure,
     StepMemory,
     _MAX_STEPS,
+    _PREDICTOR_SLOPES,
     rhs,
     step,
     simulate,
@@ -226,6 +227,41 @@ def test_memory_counts_rhs_evaluations_and_midpoint_iterations():
     assert iterations >= 1
     assert memory.rhs_evals == 4 + 1 + iterations  # Euler start, then one per iteration
     assert len(memory.slopes) == 1
+
+
+@pytest.mark.parametrize("sigma, n_modes", [(0, 16), (1, 130)])  # both kernel forms
+def test_memory_holds_the_last_slopes_newest_first(sigma, n_modes):
+    dt = 1e-4
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=dt, t_end=dt)
+    memory = StepMemory()
+    states = [seeded_state(sigma, n_modes, 3, amplitude=0.5)]
+    for i in range(_PREDICTOR_SLOPES + 3):
+        states.append(step(states[-1], cfg, i * dt, memory))
+    slopes = memory.slopes
+    assert _PREDICTOR_SLOPES == 6 and len(slopes) == 6
+    for j, slope in enumerate(slopes):  # slope j made the step into states[-1 - j]
+        expect = (states[-1 - j].coeffs - states[-2 - j].coeffs) / dt
+        assert np.max(np.abs(slope - expect)) <= 1e-10 * np.max(np.abs(expect))
+
+
+def test_memory_rebinds_to_another_problem():
+    # a step of another N, sigma, dt or scheme drops the slopes of the old
+    # problem, so a midpoint step is the Euler-started solve of a fresh
+    # memory (N = 8 then 16 failed to broadcast the old slopes; a change of
+    # sigma or dt extrapolated them)
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-4)
+    narrow = seeded_state(0, 8, 1)
+    for st, config in [(seeded_state(0, 16, 1), cfg), (seeded_state(1, 8, 1), cfg),
+                       (narrow, StepperConfig(scheme="implicit_midpoint", dt=2e-4, t_end=2e-4)),
+                       (narrow, StepperConfig(scheme="rk4", dt=1e-4, t_end=1e-4))]:
+        memory = StepMemory()
+        current = narrow
+        for i in range(3):
+            current = step(current, cfg, i * 1e-4, memory)
+        evals = memory.rhs_evals
+        assert np.array_equal(step(st, config, memory=memory).coeffs, step(st, config).coeffs)
+        assert len(memory.slopes) == (config.scheme == "implicit_midpoint")
+        assert memory.rhs_evals > evals  # the counts carry over
 
 
 def test_config_rejects_fractional_step_count():
