@@ -60,6 +60,7 @@ from .waves import (
 )
 from .minimizer import (
     _check_targets,
+    _start_power,
     ConstraintTarget,
     MinimizeOptions,
     ProjectionError,
@@ -170,13 +171,18 @@ def _parse_init(form: str, sigma: int, n_modes: int, seed: int) -> SpectralState
     if form == "zero":
         return SpectralState(sigma, np.zeros(n_modes, dtype=complex))
     if form.startswith("psi_k:"):
-        k = int(form.split(":", 1)[1])
+        try:
+            k = int(form.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"psi_k init needs the form psi_k:<k>, k an integer; got {form!r}") from None
         return make_psi_k(k, sigma, n_modes)
     if form.startswith("two_mode:"):
-        parts = form.split(":")
-        if len(parts) != 4:
-            raise ValueError("two_mode init needs the form two_mode:<A>:<B>:<k>")
-        amp_1, amp_k, k = complex(parts[1]), complex(parts[2]), int(parts[3])
+        try:
+            _, amp_1, amp_k, k = form.split(":")
+            amp_1, amp_k, k = complex(amp_1), complex(amp_k), int(k)
+        except ValueError:
+            raise ValueError(f"two_mode init needs the form two_mode:<A>:<B>:<k>, A and B complex "
+                             f"and k an integer; got {form!r}") from None
         if not np.isfinite([amp_1, amp_k]).all():
             raise ValueError(f"two_mode amplitudes must be finite, got {form!r}")
         state = make_two_mode(amp_1, amp_k, k, n_modes)
@@ -340,8 +346,8 @@ def _verify_rows(seed: int):
             yield (f"pairing sigma={sigma} seed={seed + 10 + i}",
                    pairing_check(state) / (1.0 + abs(es)), 1e-10)
 
-    # the per-sample energy (pairing on the truncated kernel) on the Toeplitz and
-    # grid forms of the kernel
+    # the per-sample energy (the Lambda form on the kernel's grid) at a small and
+    # a large N
     for n in (32, _TOEPLITZ_MAX_N + 1):
         for sigma in (0, 1):
             state = seeded_state(sigma, n, seed + 20)
@@ -397,6 +403,8 @@ def cmd_minimize(args, writer) -> int:
     init = None if args.init is None else _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     n_modes = args.n_modes if init is None else init.n_modes  # a snapshot brings its own N
     _check_targets(args.sigma, n_modes, target)
+    if init is not None:
+        _start_power(init.coeffs)
     writer.header({
         "sigma": args.sigma, "n_modes": n_modes, "init": args.init,
         "mass_target": args.mass_target, "momentum_target": args.momentum_target,

@@ -31,9 +31,10 @@ right-hand side of the run's (N, sigma) once, rebinds and drops its slopes
 when N, sigma, the scheme or dt changes, and counts right-hand-side
 evaluations and the largest midpoint iteration count.
 
-Diagnostics along a trajectory take the energy from the pairing identity
-E = 4 Re <a, Q^N C_sigma a> on the same truncated kernel (see
-``filament.invariants.invariant_report``); it is exact (it agrees with the
+Diagnostics along a trajectory take the energy from the Lambda form on the
+truncated kernel's grid, at every N (see
+``filament.invariants.invariant_report``); it is the pairing identity
+E = 4 Re <a, Q^N C_sigma a> written out and exact (it agrees with the
 layer-cake reference to rounding), so measured drift is integration error
 and nothing else.
 """

@@ -12,12 +12,13 @@ sum exactly by the layer cake min(k,l,m,n) = #{j >= 1 : k,l,m,n >= j},
     E_0 = 4 sum_{j>=1} sum_s |S_j(s)|^2,   S_j(s) = sum_{k+l=s; k,l>=j} a_k a_l,
 
 with S_j built from S_{j+1} in O(N) (O(N^2) time, O(N) memory) and
-E_1(a) = E_0(a_2..a_N); the others are an FFT evaluation of the integral
+E_1(a) = E_0(a_2..a_N); the Lambda form evaluates the integral
 
-    (1/2pi) int [ -4|u|^2 L|u|^2 + 2|u|^2 (conj(u) Lu + u L conj(u)) ] dx
-    - (2 sigma/pi) int |u|^4 dx,        L = |d/dx|,
+    E_0 = (1/2pi) int [ -4|u|^2 L|u|^2 + 2|u|^2 (conj(u) Lu + u L conj(u)) ] dx,
+    L = |d/dx|,
 
-and a 2-d midpoint quadrature of the Gagliardo double integral
+on the grid of the truncated kernel, with the same index shift for
+sigma = 1; and a 2-d midpoint quadrature of the Gagliardo double integral
 
     (1/4pi^2) iint |u(x)-u(y)|^4 / (1 - cos(x-y)) dx dy
     - (2 sigma/pi) int |u|^4 dx,
@@ -36,19 +37,12 @@ pairing the gradient identity with u gives
 
     2pi sum_p conj(C_p) a_p = (pi/2) E_sigma(u),
 
-which :func:`pairing_check` verifies numerically.  The pairing needs modes
-1..N of C_sigma only, so E = 4 Re <a, Q^N C_sigma a> is also an exact
-energy route on the truncated kernel of ``filament.nonlinearity``: that is
-the per-sample energy of :func:`invariant_report`.  Up to
-``_TOEPLITZ_MAX_N`` it is one O(N^2) Toeplitz mat-vec.  Above, the pairing
-is written out on the kernel's grid of M >= 2N - 1 points, with s = |u|^2
-and F = rfft(s),
-
-    E_0 = (4/M) [sum_x s Re(conj(u) Lu) - (1/M) sum_f |f| |F_f|^2],
-
-one batched inverse transform for u and Lu and one rfft, O(N log N), where
-the kernel takes four; sigma = 1 takes the index shift.  The layer cake
-stays the reference.
+which :func:`pairing_check` verifies numerically.  The Lambda form is this
+pairing written out, E = 4 Re <a, Q^N C_sigma a>: it needs modes 1..N of
+C_sigma only, so it is exact on the kernel's grid of M >= 2N - 1 points,
+in two transforms (``_energy_grid_raw``).  That one function is both
+:func:`energy_lambda_form` and the per-sample energy of
+:func:`invariant_report`, at every N; the layer cake stays the reference.
 """
 
 from __future__ import annotations
@@ -57,9 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralState, dealiased_grid_size, _synthesize
-from .nonlinearity import (_c_sigma_direct_raw, _c_sigma_trunc_raw, _grid_fields, _midpoint_rule,
-                           _on_toeplitz, _trunc_constants)
+from .spectral import SpectralState
+from .nonlinearity import _c_sigma_direct_raw, _grid_fields, _midpoint_rule, _trunc_constants
 
 __all__ = [
     "InvariantReport",
@@ -101,22 +94,33 @@ def energy_spectral(state: SpectralState) -> float:
     return _energy_spectral_raw(state.coeffs, state.sigma)
 
 
+def _energy_grid_raw(a: np.ndarray, sigma: int) -> float:
+    """The Lambda form E_sigma(a) = E_0(a[sigma:]) on the grid of the
+    truncated kernel, two transforms: with u, Lu and s = |u|^2 of
+    ``_grid_fields`` on M points,
+
+        E_0 = (4/M) [sum_x s Re(conj(u) Lu) - (1/M) sum_f |f| |F_f|^2],
+
+    F = rfft(s) summed over f and -f, the second term being sum_x s Ls by
+    Parseval.  Exact on M >= 2N - 1 points: s has modes 1-N..N-1, and
+    conj(u) times the cubic product sees modes 1..N of it only."""
+    b = a[sigma:]
+    consts = _trunc_constants(b.size)
+    u, lam_u, s = _grid_fields(b, consts)
+    cross = u.real * lam_u.real
+    cross += u.imag * lam_u.imag
+    f = np.fft.rfft(s)
+    power = f.real * f.real
+    power += f.imag * f.imag
+    power[1 : (consts.m + 1) // 2] *= 2.0  # bins f and -f; 0 and M/2 are their own mirror
+    return 4.0 / consts.m * (s.dot(cross) - consts.absf.dot(power))
+
+
 def energy_lambda_form(state: SpectralState) -> float:
-    """FFT energy route via the |d/dx| multiplier, on an alias-free grid."""
-    a = state.coeffs
-    n = state.n_modes
-    m = dealiased_grid_size(n)
-    k = np.arange(1, n + 1)
-    u = _synthesize(a, m)
-    lam_u = _synthesize(k * a, m)
-    usq = (u * np.conj(u)).real
-    absfreq = np.abs(np.fft.fftfreq(m, d=1.0 / m))
-    lam_usq = np.fft.ifft(absfreq * np.fft.fft(usq)).real
-    cross = 2.0 * (np.conj(u) * lam_u).real     # conj(u) Lu + u L conj(u)
-    integrand = -4.0 * usq * lam_usq + 2.0 * usq * cross
-    energy = integrand.mean()                    # (1/2pi) * integral
-    energy -= 4.0 * state.sigma * np.mean(usq**2)
-    return float(energy)
+    """FFT energy route: the |d/dx| form on the truncated kernel's grid,
+    sigma = 1 by the index shift (``_energy_grid_raw``), the same function
+    as the per-sample energy of :func:`invariant_report`."""
+    return float(_energy_grid_raw(state.coeffs, state.sigma))
 
 
 def energy_quadrature(state: SpectralState, n_quad: int) -> float:
@@ -241,48 +245,19 @@ class InvariantReport:
         return rec
 
 
-def _energy_grid_raw(a: np.ndarray, sigma: int) -> float:
-    """E_sigma(a) = E_0(a[sigma:]) on the grid of the truncated kernel,
-    two transforms: with u, Lu and s = |u|^2 of ``_grid_fields`` on M points,
-
-        E_0 = (4/M) [sum_x s Re(conj(u) Lu) - (1/M) sum_f |f| |F_f|^2],
-
-    F = rfft(s) summed over f and -f, the second term being sum_x s Ls by
-    Parseval.  Exact on M >= 2N - 1 points: s has modes 1-N..N-1, and
-    conj(u) times the cubic product sees modes 1..N of it only."""
-    b = a[sigma:]
-    consts = _trunc_constants(b.size)
-    u, lam_u, s = _grid_fields(b, consts)
-    cross = u.real * lam_u.real
-    cross += u.imag * lam_u.imag
-    f = np.fft.rfft(s)
-    power = f.real * f.real
-    power += f.imag * f.imag
-    power[1 : (consts.m + 1) // 2] *= 2.0  # bins f and -f; 0 and M/2 are their own mirror
-    return 4.0 / consts.m * (s.dot(cross) - consts.absf.dot(power))
-
-
 def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
     """Compute all conserved quantities.
 
-    The energy is exact like :func:`energy_spectral` (they agree to
-    rounding) at no more than the cost of one kernel call, so it is the
-    per-sample diagnostic of every trajectory: up to ``_TOEPLITZ_MAX_N``
-    the pairing 4 Re <a, Q^N C_sigma a> on the Toeplitz kernel (Euler's
-    relation for the quartic E and the gradient identity
-    dE/d conj(a_p) = 8 C_p), O(N^2); above, ``_energy_grid_raw``, the same
-    pairing written on the kernel's grid with two transforms, O(N log N).
-    P and M share one |a|^2.  A value beyond the float range comes out
-    non-finite, without a warning, for ``integrator.sample_record`` to
-    reject.
+    The energy is ``_energy_grid_raw``, the Lambda form of
+    :func:`energy_lambda_form`: exact like :func:`energy_spectral` (they
+    agree to rounding), O(N log N) in two transforms on the kernel's grid,
+    so it is the per-sample diagnostic of every trajectory.  P and M share
+    one |a|^2.  A value beyond the float range comes out non-finite,
+    without a warning, for ``integrator.sample_record`` to reject.
     """
     a = state.coeffs
-    sigma = state.sigma
     with np.errstate(over="ignore", invalid="ignore"):
-        if _on_toeplitz(a.size, sigma):
-            energy = 4.0 * np.vdot(a, _c_sigma_trunc_raw(a, sigma)).real
-        else:
-            energy = _energy_grid_raw(a, sigma)
+        energy = _energy_grid_raw(a, state.sigma)
         p, m = _momentum_mass_raw(a)
         return InvariantReport(
             energy=float(energy),

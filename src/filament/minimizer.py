@@ -128,12 +128,20 @@ def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarr
     return out
 
 
-def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
-    """``project_to_constraints`` on raw coefficients, for a validated target."""
-    n = a.size
+def _start_power(a: np.ndarray) -> float:
+    """sum |a_k|^2 of a projection start, or ValueError for the zero state,
+    which no scaling maps onto the constraint set; the CLI checks
+    ``minimize --init`` with it before the header."""
     total = float((np.abs(a) ** 2).sum())
     if total == 0.0:
         raise ValueError("cannot project the zero state onto a positive-size constraint set")
+    return total
+
+
+def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
+    """``project_to_constraints`` on raw coefficients, for a validated target."""
+    n = a.size
+    total = _start_power(a)
     m_star, p_star = target.mass_target, target.momentum_target
     # the projection is scale-equivariant: start from a at P = P*, so that the
     # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale

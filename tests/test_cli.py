@@ -274,13 +274,21 @@ def test_simulate_momentum_overflow_stays_step_failure(tmp_path, capsys):
     assert err["error_type"] == "step_failure" and "P, M" in err["message"]
 
 
-@pytest.mark.parametrize("init, code", [("psi_k:abc", 1), ("file:/nonexistent/snapshot.json", 3)])
+@pytest.mark.parametrize("init, code", [("psi_k:abc", 1), ("file:/nonexistent/snapshot.json", 3),
+                                        ("zero", 1), ("psi_k:", 1), ("two_mode:x:1:2", 1),
+                                        ("two_mode:1:1:y", 1)])
 def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
     out = tmp_path / "min.jsonl"
     assert main(["minimize", "--mass-target", "1", "--momentum-target", "2", "--n-modes", "4",
                  "--init", init, "--out", str(out)]) == code
     assert not out.exists()
-    assert _stderr_error(capsys)["record"] == "error"
+    err = _stderr_error(capsys)
+    assert err["record"] == "error"
+    # a malformed form is named with its grammar, not with Python's parse error
+    # ("invalid literal for int()", "complex() arg is a malformed string")
+    grammar = {"psi_k": "psi_k:<k>", "two_mode": "two_mode:<A>:<B>:<k>"}.get(init.split(":")[0])
+    if grammar:
+        assert grammar in err["message"] and repr(init) in err["message"]
 
 
 def test_minimize_target_overflow_rejected_before_header(tmp_path, capsys):
@@ -408,6 +416,10 @@ def test_verify_passes(tmp_path):
     assert len(checks) > 50
     assert all(c["pass"] for c in checks)
     assert by_kind(records, "summary")[0]["failures"] == 0
+    # the README states the count
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.search(r"`verify`\s+streams (\d+) checks", readme)
+    assert stated and int(stated.group(1)) == by_kind(records, "summary")[0]["checks"]
     # each form of the truncated kernel keeps a row for each sigma: Toeplitz
     # at 32 and at its last size, the grid just above (sigma = 1 runs N - 1 modes)
     names = {c["name"] for c in checks}

@@ -260,8 +260,8 @@ def test_invariant_report_fields():
 
 
 # _TOEPLITZ_MAX_N and the next size straddle the kernel's Toeplitz/grid
-# crossover (sigma = 1 runs the grid on the shifted size N - 1); 56/57 are
-# Toeplitz sizes, 160/161/162 grid ones
+# crossover (sigma = 1 runs the grid on the shifted size N - 1), which the
+# energy does not follow: it runs the kernel's grid at every N
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
                                160, 161, 162, 256, 512])
 @pytest.mark.parametrize("sigma", [0, 1])
@@ -270,11 +270,14 @@ def test_invariant_report_energy_matches_spectral(n, sigma, seed):
     st = seeded_state(sigma, n, seed, amplitude=1.0)
     ref = energy_spectral(st)
     assert invariant_report(st).energy == pytest.approx(ref, rel=1e-13, abs=0.0)
+    # one Lambda-form body serves both: equal bit for bit at every N
+    assert energy_lambda_form(st) == invariant_report(st).energy
 
 
 def test_invariant_report_energy_exact_zero_sigma1():
-    assert invariant_report(SpectralState(1, [0.7 - 0.2j])).energy == 0.0
-    assert invariant_report(SpectralState(1, [1.5, 0, 0, 0, 0])).energy == 0.0
+    for st in (SpectralState(1, [0.7 - 0.2j]), SpectralState(1, [1.5, 0, 0, 0, 0])):
+        assert invariant_report(st).energy == 0.0
+        assert energy_lambda_form(st) == 0.0
 
 
 @pytest.mark.parametrize("n", [4, 256])
