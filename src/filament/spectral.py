@@ -175,14 +175,17 @@ def state_from_dict(data: dict) -> SpectralState:
     if type(n_modes) is not int or n_modes < 1:
         raise ValueError(f"snapshot n_modes must be a positive integer, got {n_modes!r}")
     try:
-        pairs = np.array(pairs, dtype=float)
-    except (TypeError, ValueError) as exc:
+        values = np.array(pairs, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"snapshot coeffs must be a list of [re, im] pairs: {exc}") from exc
-    if pairs.shape != (n_modes, 2):
-        raise ValueError(f"snapshot coeffs must be {n_modes} [re, im] pairs, got shape {pairs.shape}")
-    if not np.isfinite(pairs).all():
+    if values.shape != (n_modes, 2):
+        raise ValueError(f"snapshot coeffs must be {n_modes} [re, im] pairs, got shape {values.shape}")
+    for k, (real, imag) in enumerate(pairs, 1):  # numpy also reads true, "1" and null
+        if type(real) not in (int, float) or type(imag) not in (int, float):
+            raise ValueError(f"snapshot coeffs of mode {k} must be two numbers [re, im], got {[real, imag]!r}")
+    if not np.isfinite(values).all():
         raise ValueError("snapshot coeffs must be finite")
-    return SpectralState(sigma, pairs.view(np.complex128)[:, 0])  # exact, signed zeros too
+    return SpectralState(sigma, values.view(np.complex128)[:, 0])  # exact, signed zeros too
 
 
 def write_snapshot(state: SpectralState, path) -> None:
@@ -208,4 +211,6 @@ def read_snapshot(path) -> SpectralState:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"snapshot {path} is not valid JSON: {exc}") from exc
+        except RecursionError:  # nesting deeper than the decoder recurses
+            raise ValueError(f"snapshot {path} is nested too deeply to be a snapshot") from None
     return state_from_dict(data)

@@ -403,6 +403,16 @@ def test_invariants_rejects_bad_snapshot(tmp_path, capsys, record):
     assert err["error_type"] == "validation"
 
 
+def test_deeply_nested_snapshot_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)  # beyond json.dumps, and the decoder's recursion
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--init", f"file:{path}", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "nested" in err["message"]
+
+
 def test_bad_flags_exit_validation():
     assert main(["simulate", "--sigma", "3"]) == 1
     assert main(["nonsense"]) == 1
@@ -426,6 +436,12 @@ def test_verify_passes(tmp_path):
     for n in (32, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1):
         for sigma in (0, 1):
             assert f"route trunc N={n} sigma={sigma} seed=0" in names
+            assert f"route rhs N={n} sigma={sigma} seed=0" in names
+    # the FFT route runs the kernel on 2N - 1 modes: Toeplitz at N = 60, the grid at 61
+    assert 2 * 60 - 1 <= _TOEPLITZ_MAX_N < 2 * 61 - 1
+    for n in (60, 61):
+        for sigma in (0, 1):
+            assert f"route fast N={n} sigma={sigma} seed=0" in names
 
 
 def test_minimize_equality_target(tmp_path):
@@ -499,20 +515,6 @@ def test_invariants_report(tmp_path):
     assert rec["H1"] == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-12)
 
 
-def test_bench_small(tmp_path):
-    out = tmp_path / "bench.jsonl"
-    code = main(["bench", "--sizes", "1", "16", "32", "--repeats", "2", "--out", str(out)])
-    assert code == 0
-    rows = by_kind(read_records(out), "bench")
-    assert [(r["N"], r["sigma"]) for r in rows] == [(1, 0), (1, 1), (16, 0), (16, 1), (32, 0), (32, 1)]
-    assert all(r["max_deviation"] <= 1e-11 for r in rows)
-    assert all(r["t_direct"] > 0 and r["t_fast"] > 0 for r in rows)
-    assert all(r["t_trunc"] > 0 and r["trunc_deviation"] <= 1e-12 for r in rows)
-    assert all(r["t_rhs"] > 0 and r["rhs_deviation"] <= 1e-12 for r in rows)
-    summary = by_kind(read_records(out), "summary")[0]
-    assert summary["pass"] and summary["max_deviation"] >= max(r["rhs_deviation"] for r in rows)
-
-
 def test_selftest(tmp_path):
     out = tmp_path / "self.jsonl"
     assert main(["selftest", "--out", str(out)]) == 0
@@ -580,6 +582,7 @@ def test_non_finite_float_flags_rejected_at_parse_time(tmp_path, capsys, argv, f
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt", "abc"],
     ["simulate", "--bogus"],
+    ["bench"],  # deleted: verify runs its checks, perfbench its timings
 ])
 def test_parse_errors_are_json(capsys, argv):
     assert main(argv) == 1
@@ -589,12 +592,12 @@ def test_parse_errors_are_json(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (["bench", "--repeats", "0"], "--repeats"),
+    (["simulate", "--sample-every", "0"], "--sample-every"),
     (["minimize", "--mass-target", "1", "--momentum-target", "2", "--max-iter", "0"], "--max-iter"),
     (["simulate", "--n-modes", "0"], "--n-modes"),
     (["invariants", "--n-modes", "-3"], "--n-modes"),
     (["verify", "--seed", "-1"], "--seed"),
-    (["bench", "--seed=-1", "--sizes", "4"], "--seed"),
+    (["invariants", "--n-quad", "0"], "--n-quad"),
     (["minimize", "--mass-target", "1", "--momentum-target", "2", "--seed", "-1"], "--seed"),
 ])
 def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag):
@@ -652,6 +655,11 @@ def test_readme_command_block_parses():
              for flag in action.option_strings if flag.startswith("--") and flag != "--help"}
     missing = sorted(f for f in flags if not re.search(re.escape(f) + r"(?![\w-])", readme))
     assert not missing, f"flags missing from README.md: {missing}"
+    # the flags table has a row for each subcommand and alias, and no other
+    table = readme.split("| subcommand | flags (default) |", 1)[1].split("\n\n", 1)[0]
+    listed = [name for row in table.splitlines()[2:]
+              for name in re.findall(r"`([\w-]+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(subparsers.choices)
 
 
 @pytest.mark.parametrize("argv", [
@@ -673,15 +681,7 @@ def test_malformed_step_grid_rejected_before_header(capsys, monkeypatch, argv):
     assert err["error_type"] == "validation"
 
 
-def test_bench_needs_a_size(tmp_path, capsys):
-    out = tmp_path / "bench.jsonl"
-    assert main(["bench", "--sizes", "--out", str(out)]) == 1
-    assert not out.exists()
-    err = _stderr_error(capsys)
-    assert err["error_type"] == "validation" and "--sizes" in err["message"]
-
-
-@pytest.mark.parametrize("argv", [["verify", "--sigma", "1"], ["bench", "--n-modes", "8"]])
+@pytest.mark.parametrize("argv", [["verify", "--sigma", "1"]])
 def test_unread_state_flags_rejected(tmp_path, capsys, argv):
     out = tmp_path / "run.jsonl"
     assert main(argv + ["--out", str(out)]) == 1

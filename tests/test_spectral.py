@@ -170,10 +170,19 @@ def test_snapshot_rejects_non_finite_coeffs(bad, tmp_path):
         read_snapshot(path)
 
 
-@pytest.mark.parametrize("coeffs", [5, [[1.0, 0.0], None], [{"re": 1.0}, [0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2])
+@pytest.mark.parametrize("coeffs", [
+    5, [[1.0, 0.0], None], [{"re": 1.0}, [0.0, 0.0]], [[1.0, 0.0, 0.0]] * 2,
+    [[1.0, 0.0], [True, 0.0]], [[1.0, 0.0], ["1", 0.0]], [[1.0, 0.0], [None, 0.0]],
+    [[10**400, 0.0], [0.0, 0.0]],  # a JSON integer beyond any float
+])
 def test_snapshot_rejects_malformed_coeffs(coeffs):
     with pytest.raises(ValueError):
         state_from_dict({"sigma": 0, "n_modes": 2, "coeffs": coeffs})
+
+
+def test_snapshot_names_a_coefficient_that_is_not_a_number():
+    with pytest.raises(ValueError, match=r"mode 2 must be two numbers"):
+        state_from_dict({"sigma": 0, "n_modes": 2, "coeffs": [[1.0, 0.0], [None, 0.0]]})
 
 
 def test_snapshot_round_trip_is_bit_exact():
