@@ -49,7 +49,15 @@ from .invariants import (
     energy_gradient_check,
     invariant_report,
 )
-from .integrator import StepperConfig, StepFailure, StepMemory, sample_record, step, simulate
+from .integrator import (
+    _MAX_STEPS,
+    StepperConfig,
+    StepFailure,
+    StepMemory,
+    sample_record,
+    step,
+    simulate,
+)
 from .waves import (
     make_psi_k,
     make_two_mode,
@@ -201,6 +209,12 @@ def _parse_init(form: str, sigma: int, n_modes: int, seed: int) -> SpectralState
     )
 
 
+def _snapshot_name(i: int) -> str:
+    """The snapshot file of step i, zero-padded to the digits of the largest
+    step index a run can reach, so the names sort in step order."""
+    return f"snapshot-{i:0{len(str(_MAX_STEPS))}d}.json"
+
+
 def _scheme_name(name: str) -> str:
     return "implicit_midpoint" if name == "midpoint" else name
 
@@ -237,7 +251,7 @@ def cmd_simulate(args, writer) -> int:
         if two_mode_k:
             tracked.append((t, current.coeffs[0], current.coeffs[two_mode_k - 1]))
         if args.snapshots:
-            write_snapshot(current, os.path.join(args.snapshots, f"snapshot-{i:08d}.json"))
+            write_snapshot(current, os.path.join(args.snapshots, _snapshot_name(i)))
 
     current = state
     memory = StepMemory()

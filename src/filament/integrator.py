@@ -26,10 +26,20 @@ ring whose newest row is ``head``, so f_j sits on row (head - j) mod q.
 The dt-scaled weights dt (-1)^j C(n, j+1) are cached on those rows per
 (n, head), which makes the start one dot of the weights with the ring plus
 one add, and keeping a slope one row write.  Without history the solve
-starts from the explicit Euler guess a + dt f(a).  The memory binds the
-right-hand side of the run's (N, sigma) once, rebinds and drops its slopes
-when N, sigma, the scheme or dt changes, and counts right-hand-side
-evaluations and the largest midpoint iteration count.
+starts from the explicit Euler guess a + dt f(a).
+
+An RK4 step is its Butcher tableau (Hairer, Norsett and Wanner, *Solving
+Ordinary Differential Equations I*, sec. II.1) run in a (5, N) stage array
+of the run's ``StepMemory``: a on row 0, and the right-hand side writes each
+slope k_j into row j.  Every stage input, a + dt/2 k1, a + dt/2 k2,
+a + dt k3, and the update a + dt/6 (k1 + 2 k2 + 2 k3 + k4) is one dot of a
+row of dt-scaled weights with the stage rows, so a step makes one row copy
+and four weighted sums besides its four right-hand sides, and allocates no
+slope.  The memory binds the right-hand side of the run's (N, sigma) once,
+holds the arrays of its bound scheme only (the ring, or the stage array and
+its weights), rebinds them and drops the slopes when N, sigma, the scheme
+or dt changes, and counts right-hand-side evaluations and the largest
+midpoint iteration count.
 
 Diagnostics along a trajectory take the energy from the Lambda form on the
 truncated kernel's grid, at every N (see
@@ -159,24 +169,28 @@ def rhs(state: SpectralState) -> SpectralState:
     return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma))
 
 
-def _rk4_step(a, dt, f):
-    k1 = f(a)
-    k2 = f(a + 0.5 * dt * k1)
-    k3 = f(a + 0.5 * dt * k2)
-    k4 = f(a + dt * k3)
-    k2 += k3  # k1 + 2 k2 + 2 k3 + k4 in place: 6 array operations, not 7
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    return a + (dt / 6.0) * k2
+def _rk4_step(a, memory):
+    """One classical RK4 step in the memory's stage array: a on row 0, the
+    slope k_j written into row j, and each stage input and the update one
+    dot of a row of dt-scaled weights with the rows written so far."""
+    f = memory._rhs
+    stages = memory._stages
+    (w1, s1), (w2, s2), (w3, s3), (w4, s4) = memory._stage_sums
+    stages[0] = a
+    f(a, out=stages[1])
+    f(w1.dot(s1), out=stages[2])
+    f(w2.dot(s2), out=stages[3])
+    f(w3.dot(s3), out=stages[4])
+    return w4.dot(s4)
 
 
 class StepMemory:
     """The workspace of one run's steps, owned by the caller.
 
-    It holds the right-hand side bound to the run's (N, sigma), the last
-    q converged implicit-midpoint slopes (``slopes``, newest first) from
-    which each solve starts, and the counts of the work done:
+    It holds the right-hand side bound to the run's (N, sigma), the RK4
+    stage array and its dt-scaled weights, or the last q converged
+    implicit-midpoint slopes (``slopes``, newest first) from which each
+    solve starts, and the counts of the work done:
     ``rhs_evals`` and ``midpoint_max_iterations``; RK4 steps add only to
     ``rhs_evals``.  A step of another N, sigma, scheme or dt rebinds it and
     drops the slopes, which describe another problem; the counts stay.
@@ -188,6 +202,7 @@ class StepMemory:
         self.rhs_evals = 0
         self.midpoint_max_iterations = 0
         self._problem = None  # (N, sigma, scheme, dt) of the bound workspace
+        self._count = 0
 
     def _bind(self, n, sigma, config):
         problem = (n, sigma, config.scheme, config.dt)
@@ -195,17 +210,31 @@ class StepMemory:
             return
         self._problem = problem
         self._rhs = _kernels(n, sigma).rhs
+        self._count = 0  # midpoint slopes held
+        self._ring = self._stages = self._stage_sums = None  # drop the other scheme's arrays
+        if config.scheme == "rk4":
+            h = config.dt
+            # rows a, k1..k4; one row of weights per stage input and the update
+            self._stages = np.zeros((5, n), dtype=np.complex128)
+            weights = np.array([[1.0, h / 2, 0.0, 0.0, 0.0],
+                                [1.0, 0.0, h / 2, 0.0, 0.0],
+                                [1.0, 0.0, 0.0, h, 0.0],
+                                [1.0, h / 6, h / 3, h / 3, h / 6]], dtype=np.complex128)
+            # sum j reads rows 0..j+1 only, the rows its step has written, so a
+            # row left non-finite by a failed step never meets a zero weight
+            self._stage_sums = tuple((weights[j, : j + 2], self._stages[: j + 2])
+                                     for j in range(4))
+            return
         # zeros, not empty: a row not yet written meets a zero weight, and
         # 0 times an uninitialised nan or inf is nan
         self._ring = np.zeros((_PREDICTOR_SLOPES, n), dtype=np.complex128)
-        self._count = 0  # slopes held
         self._head = 0  # row of the newest slope
         self._weights = {}  # (count, head) -> predictor weights on the ring rows
 
     @property
     def slopes(self) -> tuple:
         """Copies of the held midpoint slopes, newest first."""
-        if self._problem is None:
+        if not self._count:
             return ()
         rows = (self._head - np.arange(self._count)) % _PREDICTOR_SLOPES
         return tuple(self._ring[rows].copy())
@@ -272,7 +301,7 @@ def _advance(a, sigma, config, t, memory=None):
     # an overflowing step is caught by the finiteness test, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         if config.scheme == "rk4":
-            out = _rk4_step(a, config.dt, memory._rhs)
+            out = _rk4_step(a, memory)
             memory.rhs_evals += 4
         else:
             out = _midpoint_step(a, config.dt, t, memory)

@@ -158,9 +158,11 @@ def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
     return consts
 
 
-def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarray) -> np.ndarray:
+def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarray,
+                  out=None) -> np.ndarray:
     """Modes 1..N of C_sigma with the weight W, or of i p C_sigma with i p W,
-    of ``_toeplitz_constants``, for the sizes of ``_on_toeplitz``.
+    of ``_toeplitz_constants``, for the sizes of ``_on_toeplitz``; written
+    into ``out`` when given.
 
     One Toeplitz mat-vec: c_s = sum_{l-m=s} a_l conj(a_m) is |u|^2, and
     C_p = sum_k W[p, k] c_{p-k} a_k is the unsymmetrized triple sum.  At
@@ -172,7 +174,7 @@ def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarr
     b = a[sigma:]
     t = np.correlate(b, b, "full")[index]
     t *= weight
-    return t.dot(a)
+    return t.dot(a, out=out)
 
 
 _TruncConstants = namedtuple("_TruncConstants", "k absf m")
@@ -204,9 +206,9 @@ def _grid_fields(b: np.ndarray, consts: _TruncConstants):
     return u, lam_u, usq
 
 
-def _grid_raw(a: np.ndarray, sigma: int, consts: _TruncConstants, scale) -> np.ndarray:
+def _grid_raw(a: np.ndarray, sigma: int, consts: _TruncConstants, scale, out=None) -> np.ndarray:
     """Modes 1..N of M C_sigma on the grid, times ``scale``: 1/M gives
-    C_sigma, i p/M the right-hand side.
+    C_sigma, i p/M the right-hand side; written into ``out`` when given.
 
     The sigma = 0 operator |u|^2 Lu - u L|u|^2 acts on b = a[sigma:], n
     modes: its product spans modes 2-n..2n-1, so on M >= 2n - 1 points modes
@@ -222,8 +224,7 @@ def _grid_raw(a: np.ndarray, sigma: int, consts: _TruncConstants, scale) -> np.n
     lam_usq = np.fft.irfft(f, consts.m, norm="forward")
     lam_u *= usq
     lam_u -= u * lam_usq
-    out = np.fft.fft(lam_u)[1 - sigma : a.size + 1 - sigma]
-    out *= scale
+    out = np.multiply(np.fft.fft(lam_u)[1 - sigma : a.size + 1 - sigma], scale, out=out)
     if sigma:
         out[0] = 0.0
     return out
@@ -246,17 +247,21 @@ def _kernels(n: int, sigma: int) -> _Kernels:
     is the sigma = 0 one acting on (a_2, ..., a_N) shifted up one mode.
     Both forms take that shift: it avoids subtracting the nearly-cancelling
     |u|^2 u term and makes the vanishing of the mode-1 output exact.
+
+    ``rhs(a, out=row)`` writes into ``row`` (a contiguous complex128 N-vector)
+    and returns it, with the same bits as ``rhs(a)``: the mat-vec and the
+    output scaling are the same operations, only their destination differs.
     """
     if _on_toeplitz(n, sigma):
         index, weight, rhs_weight = _toeplitz_constants(n, sigma)
         return _Kernels(lambda a: _toeplitz_raw(a, sigma, index, weight),
-                        lambda a: _toeplitz_raw(a, sigma, index, rhs_weight))
+                        lambda a, out=None: _toeplitz_raw(a, sigma, index, rhs_weight, out))
     consts = _trunc_constants(n - sigma)
     inv_m = 1.0 / consts.m
     ip_m = 1j * (np.arange(1.0, n + 1.0) * inv_m)
     ip_m.flags.writeable = False
     return _Kernels(lambda a: _grid_raw(a, sigma, consts, inv_m),
-                    lambda a: _grid_raw(a, sigma, consts, ip_m))
+                    lambda a, out=None: _grid_raw(a, sigma, consts, ip_m, out))
 
 
 def _c_sigma_trunc_raw(a: np.ndarray, sigma: int) -> np.ndarray:

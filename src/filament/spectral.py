@@ -159,7 +159,8 @@ def state_to_dict(state: SpectralState) -> dict:
     return {
         "sigma": int(state.sigma),
         "n_modes": int(state.n_modes),
-        "coeffs": [[float(c.real), float(c.imag)] for c in state.coeffs],
+        # the [re, im] float pairs in one conversion, signed zeros included
+        "coeffs": state.coeffs.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filament.cli import _Writer, build_parser, main, OUT_DIR_ENV
-from filament.integrator import StepperConfig, simulate
+from filament.cli import _Writer, _snapshot_name, build_parser, main, OUT_DIR_ENV
+from filament.integrator import _MAX_STEPS, StepperConfig, simulate
 from filament.invariants import mass, momentum
 from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
@@ -115,6 +115,21 @@ def test_simulate_snapshot_roundtrip(tmp_path):
         "--dt", "1e-2", "--t-end", "0.1", "--sample-every", "10", "--out", str(out2),
     ])
     assert code == 0
+
+
+def test_snapshot_names_sort_in_step_order(tmp_path):
+    # padded to 8 digits, snapshot-100000000 sorted before snapshot-99999999;
+    # the padding now covers every step index a run may reach
+    names = [_snapshot_name(i) for i in (0, 5, 99_999_999, 10**8, _MAX_STEPS)]
+    assert sorted(names) == names
+    assert len({len(name) for name in names}) == 1
+    snap_dir = tmp_path / "snaps"
+    code = main([
+        "simulate", "--init", "random", "--n-modes", "4", "--dt", "1e-2", "--t-end", "0.1",
+        "--sample-every", "5", "--snapshots", str(snap_dir), "--out", str(tmp_path / "run.jsonl"),
+    ])
+    assert code == 0
+    assert sorted(p.name for p in snap_dir.iterdir()) == [_snapshot_name(i) for i in (0, 5, 10)]
 
 
 def test_simulate_rejects_bad_init(tmp_path):

@@ -130,6 +130,31 @@ def test_a1_conserved_sigma1():
     assert drift <= 1e-12
 
 
+@pytest.mark.parametrize("n_modes", [32, 130])  # the Toeplitz and the grid form
+def test_rk4_sigma1_keeps_a1_bit_exact(n_modes):
+    # at sigma = 1 the mode-1 slope is exactly 0, so every weighted sum of
+    # the stage array must hand a_1 through unchanged
+    st = seeded_state(1, n_modes, 3, amplitude=0.35)
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=0.1)
+    memory = StepMemory()
+    current = st
+    for i in range(100):
+        current = step(current, cfg, i * 1e-3, memory)
+        assert current.coeffs[0] == st.coeffs[0]
+
+
+def test_rk4_memory_steps_on_after_a_failed_step():
+    # an overflowing step leaves non-finite slopes in the stage rows; each
+    # weighted sum of the next step reads only the rows that step writes
+    cfg = StepperConfig(scheme="rk4", dt=1e-3, t_end=1e-3)
+    memory = StepMemory()
+    with pytest.raises(StepFailure, match="non-finite"):
+        step(seeded_state(0, 8, 0, amplitude=1e120), cfg, memory=memory)
+    assert not np.isfinite(memory._stages[1:]).any()
+    st = seeded_state(0, 8, 1)
+    assert np.array_equal(step(st, cfg, memory=memory).coeffs, step(st, cfg).coeffs)
+
+
 def test_midpoint_conserves_quadratic_invariants():
     cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-3, t_end=1.0, sample_every=500)
     st = seeded_state(0, 16, 5, amplitude=0.1)
@@ -262,6 +287,21 @@ def test_memory_rebinds_to_another_problem():
         assert np.array_equal(step(st, config, memory=memory).coeffs, step(st, config).coeffs)
         assert len(memory.slopes) == (config.scheme == "implicit_midpoint")
         assert memory.rhs_evals > evals  # the counts carry over
+    # an RK4 memory's stage weights carry dt and its stage array N: one used
+    # at another dt or N steps as a fresh memory does, and holds no slopes
+    def rk4(dt):
+        return StepperConfig(scheme="rk4", dt=dt, t_end=dt)
+    wide = seeded_state(1, 32, 2)
+    for first, first_config, config in [(wide, rk4(1e-3), rk4(5e-4)),
+                                        (seeded_state(1, 16, 2), rk4(1e-3), rk4(1e-3))]:
+        memory = StepMemory()
+        current = first
+        for i in range(3):
+            current = step(current, first_config, i * first_config.dt, memory)
+        assert memory.slopes == ()
+        got = step(wide, config, memory=memory).coeffs
+        assert np.array_equal(got, step(wide, config, memory=StepMemory()).coeffs)
+        assert memory.slopes == ()
 
 
 def test_config_rejects_fractional_step_count():

@@ -6,6 +6,7 @@ from filament.nonlinearity import (
     _TOEPLITZ_MAX_N,
     _c_sigma_direct_raw,
     _c_sigma_trunc_raw,
+    _kernels,
     _toeplitz_constants,
     c_sigma_direct,
     c_sigma_unsym,
@@ -264,3 +265,18 @@ def test_quadrature_routes_match_the_midpoint_oracle(sigma, n, n_quad):
         assert np.max(np.abs(got - expect)) <= 1e-12 * norm**3
         energy = energy_quadrature(st, n_quad)
         assert abs(energy - energy_midpoint_rule(st.coeffs, sigma, n_quad)) <= 1e-11 * norm**4
+
+
+@pytest.mark.parametrize("n", [1, 2, 32, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 256])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_rhs_into_a_row_changes_no_bit(n, sigma):
+    # an RK4 step writes each slope into a row of its stage array; the
+    # Toeplitz form (up to _TOEPLITZ_MAX_N, except N = 1 at sigma = 1) and
+    # the grid form must both give the bits of the allocating call
+    a = seeded_state(sigma, n, 2, amplitude=0.5).coeffs
+    rhs = _kernels(n, sigma).rhs
+    stages = np.full((5, n), np.nan, dtype=np.complex128)
+    row = stages[3]
+    assert rhs(a, out=row) is row
+    assert row.tobytes() == rhs(a).tobytes()
+    assert np.isnan(np.delete(stages, 3, axis=0)).all()  # no other row is touched

@@ -191,6 +191,16 @@ def test_snapshot_round_trip_is_bit_exact():
     assert back.coeffs.tobytes() == st.coeffs.tobytes()
 
 
+def test_state_to_dict_is_the_per_element_conversion():
+    # one view-and-tolist conversion gives the floats of the per-coefficient
+    # loop it replaced, signed zeros, subnormals and huge values included
+    st = SpectralState(1, [complex(-0.0, -0.0), complex(5e-324, -2.5e-310),
+                           complex(1e300, -0.0), complex(-1e-320, -1e300), 0.25 + 3j])
+    per_element = {"sigma": 1, "n_modes": 5,
+                   "coeffs": [[float(c.real), float(c.imag)] for c in st.coeffs]}
+    assert json.dumps(state_to_dict(st)) == json.dumps(per_element)
+
+
 def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
     path = tmp_path / "snapshot-00000001.json"
     st = SpectralState(1, [complex(-0.0, -0.0), 1e-300 - 2.5j, -3.0 + 0.0j])
