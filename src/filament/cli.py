@@ -38,6 +38,7 @@ from .nonlinearity import (
 )
 from .invariants import (
     _check_sobolev_exponent,
+    _sobolev_field,
     energy_spectral,
     energy_lambda_form,
     energy_quadrature,
@@ -215,6 +216,18 @@ def _snapshot_name(i: int) -> str:
     return f"snapshot-{i:0{len(str(_MAX_STEPS))}d}.json"
 
 
+def _hs_exponents(hs) -> tuple:
+    """The ``--hs`` exponents, or ValueError naming two whose norms would
+    share one record field, where the second would overwrite the first."""
+    seen = {}
+    for s in hs:
+        name = _sobolev_field(s)
+        if name in seen:
+            raise ValueError(f"--hs values {seen[name]!r} and {s!r} share the record field {name!r}")
+        seen[name] = s
+    return tuple(hs)
+
+
 def _scheme_name(name: str) -> str:
     return "implicit_midpoint" if name == "midpoint" else name
 
@@ -229,17 +242,17 @@ def cmd_simulate(args, writer) -> int:
         t_end=args.t_end,
         sample_every=args.sample_every,
     )
+    hs = _hs_exponents(args.hs)
     state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     writer.header({
         "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
         "scheme": config.scheme, "dt": config.dt, "t_end": config.t_end,
         "sample_every": config.sample_every, "seed": args.seed,
-        "h_s": list(args.hs), "snapshots": args.snapshots,
+        "h_s": list(hs), "snapshots": args.snapshots,
     })
     if args.snapshots:
         os.makedirs(args.snapshots, exist_ok=True)
 
-    hs = tuple(args.hs)
     n_steps = config.n_steps()
     form, *fields = args.init.split(":")
     two_mode_k = int(fields[2]) if form == "two_mode" else 0
@@ -467,12 +480,13 @@ def cmd_wave_residual(args, writer) -> int:
 
 
 def cmd_invariants(args, writer) -> int:
+    hs = _hs_exponents(args.hs)
     state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     n_quad = args.n_quad or max(1024, 8 * state.n_modes)
     _check_n_quad(state.n_modes, n_quad)
     writer.header({
         "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
-        "n_quad": n_quad, "h_s": list(args.hs),
+        "n_quad": n_quad, "h_s": list(hs),
     })
     es = energy_spectral(state)
     rec = {
@@ -486,8 +500,8 @@ def cmd_invariants(args, writer) -> int:
         "a1_im": first_mode(state).imag,
         "pairing_defect": pairing_check(state),
     }
-    for s in args.hs:
-        rec[f"H{s:g}"] = sobolev_norm(state, s)
+    for s in hs:
+        rec[_sobolev_field(s)] = sobolev_norm(state, s)
     writer.emit(rec)
     return EXIT_OK
 

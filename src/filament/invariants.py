@@ -109,7 +109,7 @@ def _energy_grid_raw(a: np.ndarray, sigma: int) -> float:
     u, lam_u, s = _grid_fields(b, consts)
     cross = u.real * lam_u.real
     cross += u.imag * lam_u.imag
-    f = np.fft.rfft(s)
+    f = consts.rfft(s, 1.0, out=np.empty(consts.absf.size, dtype=np.complex128))
     power = f.real * f.real
     power += f.imag * f.imag
     power[1 : (consts.m + 1) // 2] *= 2.0  # bins f and -f; 0 and M/2 are their own mirror
@@ -164,6 +164,12 @@ def _check_sobolev_exponent(s: float) -> float:
     if not s >= -1.0:  # nan too
         raise ValueError(f"Sobolev exponent must be >= -1, got {s}")
     return s
+
+
+def _sobolev_field(s: float) -> str:
+    """The record field of the H^s norm, e.g. ``H0.5``; -0 and 0, one key of
+    ``InvariantReport.h_s_norms``, share ``H0``."""
+    return f"H{s + 0.0:g}"
 
 
 def sobolev_norm(state: SpectralState, s: float) -> float:
@@ -241,7 +247,7 @@ class InvariantReport:
             "a1_im": self.a1.imag,
         }
         for s, value in self.h_s_norms.items():
-            rec[f"H{s:g}"] = value
+            rec[_sobolev_field(s)] = value
         return rec
 
 

@@ -37,7 +37,10 @@ constants bound once per (N, sigma), in one of two forms by N:
 - above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
   the cubic product are alias-free (``_grid_raw``).  Its transforms do not
   scale; the 1/M factors are folded into the symbol of L and into the
-  output scale, 1/M or i p/M.
+  output scale, 1/M or i p/M.  It calls numpy's pocketfft gufuncs, resolved
+  once per bandwidth (``_trunc_constants``): the bits of ``np.fft`` without
+  its Python wrapper, which costs about a third of a 512-point transform.
+  The reference routes stay on public ``np.fft``.
 
 ``_c_sigma_trunc_raw`` and ``_rhs_raw`` look the pair up per call; a run
 binds the right-hand side once (``integrator.StepMemory``).  The flow and
@@ -122,10 +125,17 @@ def _c_sigma_direct_raw(a: np.ndarray, sigma: int, weight=_min_weight) -> np.nda
 
 # Crossover from the Toeplitz mat-vec to the 2N grid.  Interleaved in-process
 # timings of the right-hand side, 40 rounds of 20 calls of each form (numpy 2.4
-# with OpenBLAS, 2 vCPUs), put the median Toeplitz/grid time ratio at
-# 0.79-0.92 at N = 112, 0.89-1.00 at N = 120 and 1.01-1.16 at N = 128 for
-# sigma = 1 and 0: the mat-vec is O(N^2) against the grid's O(N log N).
-_TOEPLITZ_MAX_N = 120
+# with OpenBLAS, 2 vCPUs), put the median Toeplitz/grid time ratio, over four
+# to six sweeps as the host drifted, at
+#
+#     N          64         72         80         88         96
+#     sigma = 0  0.82-0.98  0.82-1.14  1.04-1.35  1.20-1.40  1.46-1.71
+#     sigma = 1  0.69-0.99  0.81-1.13  0.93-1.32  1.00-1.41  1.15-1.59
+#
+# the mat-vec is O(N^2) against the grid's O(N log N).  At N = 72 the ratio is
+# 1 within the noise for both sigma; from N = 80 the grid is faster in all but
+# one reading.
+_TOEPLITZ_MAX_N = 72
 
 
 def _on_toeplitz(n: int, sigma: int) -> bool:
@@ -177,17 +187,28 @@ def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarr
     return t.dot(a, out=out)
 
 
-_TruncConstants = namedtuple("_TruncConstants", "k absf m")
+_TruncConstants = namedtuple("_TruncConstants", "k absf m ifft rfft irfft fft")
 
 
 @functools.lru_cache(maxsize=64)
 def _trunc_constants(n: int) -> _TruncConstants:
     """Per-bandwidth constants of the grid form, read-only: k = 1..N, the
-    rfft symbol |f| of L with the inverse transform's 1/M folded in, and the
-    grid size M.  M is the smallest 11-smooth length >= 2N (for numpy.fft),
-    so M >= 2N-1 and modes 1..N of the cubic product are alias-free."""
+    rfft symbol |f| of L with the inverse transform's 1/M folded in, the
+    grid size M, and the pocketfft gufuncs ifft, rfft (by the parity of M),
+    irfft and fft.  M is the smallest 11-smooth length >= 2N, so M >= 2N-1
+    and modes 1..N of the cubic product are alias-free.
+
+    ``t(x, 1.0, out=...)`` has the bits of ``np.fft``'s unscaled direction
+    (``ifft``/``irfft`` with ``norm="forward"``, ``rfft``/``fft`` by default)
+    without its wrapper.  Each call allocates its output, so states stay
+    shareable between threads; the import waits for the first grid-form
+    bandwidth, as numpy loads ``numpy.fft`` lazily."""
+    from numpy.fft import _pocketfft_umath as pfu
+
     m = _next_fast_len(2 * n)
-    consts = _TruncConstants(np.arange(1.0, n + 1.0), np.arange(m // 2 + 1.0) / m, m)
+    consts = _TruncConstants(np.arange(1.0, n + 1.0), np.arange(m // 2 + 1.0) / m, m,
+                             pfu.ifft, pfu.rfft_n_odd if m % 2 else pfu.rfft_n_even,
+                             pfu.irfft, pfu.fft)
     for arr in (consts.k, consts.absf):
         arr.flags.writeable = False
     return consts
@@ -200,7 +221,7 @@ def _grid_fields(b: np.ndarray, consts: _TruncConstants):
     spec = np.zeros((2, consts.m), dtype=np.complex128)
     spec[0, 1 : n + 1] = b
     np.multiply(consts.k, b, out=spec[1, 1 : n + 1])
-    u, lam_u = np.fft.ifft(spec, norm="forward")
+    u, lam_u = consts.ifft(spec, 1.0, out=np.empty_like(spec))
     usq = u.real * u.real
     usq += u.imag * u.imag
     return u, lam_u, usq
@@ -217,14 +238,14 @@ def _grid_raw(a: np.ndarray, sigma: int, consts: _TruncConstants, scale, out=Non
     ``consts.absf`` and ``scale``, exactly so at power-of-two M.
     """
     u, lam_u, usq = _grid_fields(a[sigma:], consts)
-    # in-place products: each saved temporary is worth ~1 us at M ~ 512, about
-    # what numpy.fft's complex transforms cost over scipy.fft's there
-    f = np.fft.rfft(usq)
+    # in-place products: each saved temporary is worth ~1 us at M ~ 512
+    f = consts.rfft(usq, 1.0, out=np.empty(consts.absf.size, dtype=np.complex128))
     f *= consts.absf
-    lam_usq = np.fft.irfft(f, consts.m, norm="forward")
+    lam_usq = consts.irfft(f, 1.0, out=np.empty(consts.m))
     lam_u *= usq
     lam_u -= u * lam_usq
-    out = np.multiply(np.fft.fft(lam_u)[1 - sigma : a.size + 1 - sigma], scale, out=out)
+    spec = consts.fft(lam_u, 1.0, out=np.empty_like(lam_u))
+    out = np.multiply(spec[1 - sigma : a.size + 1 - sigma], scale, out=out)
     if sigma:
         out[0] = 0.0
     return out
@@ -234,7 +255,7 @@ _Kernels = namedtuple("_Kernels", "c_sigma rhs")
 
 
 # an entry holds 40 N^2 bytes (int64 index, two complex128 weights) on the
-# Toeplitz sizes: at most 24 x 40 x 120^2 = 13.8 MB at _TOEPLITZ_MAX_N
+# Toeplitz sizes: at most 24 x 40 x 72^2 = 5.0 MB at _TOEPLITZ_MAX_N
 @functools.lru_cache(maxsize=24)
 def _kernels(n: int, sigma: int) -> _Kernels:
     """Q^N C_sigma and the right-hand side i p [Q^N C_sigma]_p of the

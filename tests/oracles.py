@@ -82,6 +82,51 @@ def _smooth_length(target):
         n += 1
 
 
+def _grid_fields_numpy_fft(b):
+    """u, Lu and |u|^2 of the coefficients b on the smallest 11-smooth grid of
+    M >= 2N points, unscaled, through ``np.fft``; with M and the rfft symbol
+    |f|/M of L."""
+    n = b.size
+    m = _smooth_length(max(2 * n, 1))
+    spec = np.zeros((2, m), dtype=np.complex128)
+    spec[0, 1 : n + 1] = b
+    np.multiply(np.arange(1.0, n + 1.0), b, out=spec[1, 1 : n + 1])
+    u, lam_u = np.fft.ifft(spec, norm="forward")
+    usq = u.real * u.real
+    usq += u.imag * u.imag
+    return u, lam_u, usq, m, np.arange(m // 2 + 1.0) / m
+
+
+def grid_kernel_numpy_fft(coeffs, sigma, scale):
+    """Modes 1..N of M C_sigma on the grid times ``scale``, in the operations of
+    the truncated kernel's grid form with every transform a public ``np.fft``
+    call: the body that form reproduces bit for bit."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    u, lam_u, usq, m, absf = _grid_fields_numpy_fft(a[sigma:])
+    f = np.fft.rfft(usq)
+    f *= absf
+    lam_usq = np.fft.irfft(f, m, norm="forward")
+    lam_u *= usq
+    lam_u -= u * lam_usq
+    out = np.multiply(np.fft.fft(lam_u)[1 - sigma : a.size + 1 - sigma], scale)
+    if sigma:
+        out[0] = 0.0
+    return out
+
+
+def energy_grid_numpy_fft(coeffs, sigma):
+    """The Lambda-form energy on the same grid, in the operations of the
+    per-sample energy with its transforms public ``np.fft`` calls."""
+    u, lam_u, s, m, absf = _grid_fields_numpy_fft(np.asarray(coeffs, dtype=np.complex128)[sigma:])
+    cross = u.real * lam_u.real
+    cross += u.imag * lam_u.imag
+    f = np.fft.rfft(s)
+    power = f.real * f.real
+    power += f.imag * f.imag
+    power[1 : (m + 1) // 2] *= 2.0
+    return 4.0 / m * (s.dot(cross) - absf.dot(power))
+
+
 def _synthesize(coeffs, size):
     """Samples of sum_{k=1..N} a_k e^{ikx} on a size-point grid, along the last axis."""
     spectrum = np.zeros(coeffs.shape[:-1] + (size,), dtype=np.complex128)

@@ -452,9 +452,11 @@ def test_verify_passes(tmp_path):
         for sigma in (0, 1):
             assert f"route trunc N={n} sigma={sigma} seed=0" in names
             assert f"route rhs N={n} sigma={sigma} seed=0" in names
-    # the FFT route runs the kernel on 2N - 1 modes: Toeplitz at N = 60, the grid at 61
-    assert 2 * 60 - 1 <= _TOEPLITZ_MAX_N < 2 * 61 - 1
-    for n in (60, 61):
+    # the FFT route runs the kernel on 2N - 1 modes: Toeplitz up to N = n_last,
+    # the grid from n_last + 1
+    n_last = (_TOEPLITZ_MAX_N + 1) // 2
+    assert 2 * n_last - 1 <= _TOEPLITZ_MAX_N < 2 * (n_last + 1) - 1
+    for n in (n_last, n_last + 1):
         for sigma in (0, 1):
             assert f"route fast N={n} sigma={sigma} seed=0" in names
 
@@ -543,17 +545,28 @@ def test_env_var_output_directory(tmp_path, monkeypatch):
     assert records[0]["record"] == "header"
 
 
-def test_import_does_not_load_scipy():
+def _modules_loaded_by_import(prefix):
+    """The modules under ``prefix`` that importing the CLI loads, in a fresh process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c",
          "import filament, filament.cli, sys; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+         f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix!r} + '.')))"],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_does_not_load_scipy():
+    assert _modules_loaded_by_import("scipy") == "[]"
+
+
+def test_import_does_not_load_numpy_fft():
+    # numpy loads numpy.fft lazily; the grid form resolves its transforms on
+    # first use, so start-up (and the stream header) does not wait for them
+    assert _modules_loaded_by_import("numpy.fft") == "[]"
 
 
 def test_module_entry_point():
@@ -639,6 +652,29 @@ def test_hs_below_minus_one_rejected_at_parse_time(tmp_path, capsys, argv):
     assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and "--hs" in err["message"]
+
+
+@pytest.mark.parametrize("argv, values", [
+    (["simulate", "--hs", "0.5", "0.5000001"], ("0.5", "0.5000001")),
+    (["invariants", "--hs", "1.0000001", "1.0000002"], ("1.0000001", "1.0000002")),
+    (["invariants", "--hs", "0", "-0"], ("0.0", "-0.0")),
+])
+def test_hs_exponents_sharing_a_field_rejected_before_header(tmp_path, capsys, argv, values):
+    # both norms would be written to one field H{s:g}, the second overwriting
+    # the first while the header lists both exponents
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "--hs" in err["message"]
+    assert all(v in err["message"] for v in values)
+
+
+def test_hs_fields_name_every_exponent(tmp_path):
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--n-modes", "4", "--hs", "0.5", "-0.25", "1", "--out", str(out)]) == 0
+    rec = by_kind(read_records(out), "invariants")[0]
+    assert {k for k in rec if k.startswith("H")} == {"H0.5", "H-0.25", "H1"}
 
 
 def test_selftest_is_verify(tmp_path):

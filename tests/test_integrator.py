@@ -21,7 +21,7 @@ from oracles import cubic_brute_force
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
-                               161, 200])
+                               120, 121, 161, 200])
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_rhs_matches_ip_times_direct_sum(n, sigma):
     # both forms of the RHS, on both sides of their crossover: the Toeplitz

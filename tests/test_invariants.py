@@ -263,7 +263,7 @@ def test_invariant_report_fields():
 # crossover (sigma = 1 runs the grid on the shifted size N - 1), which the
 # energy does not follow: it runs the kernel's grid at every N
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
-                               160, 161, 162, 256, 512])
+                               120, 121, 160, 161, 162, 256, 512])
 @pytest.mark.parametrize("sigma", [0, 1])
 @pytest.mark.parametrize("seed", range(3))
 def test_invariant_report_energy_matches_spectral(n, sigma, seed):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from filament import nonlinearity
 from filament.spectral import SpectralState, seeded_state
 from filament.nonlinearity import (
     _TOEPLITZ_MAX_N,
@@ -15,8 +16,14 @@ from filament.nonlinearity import (
     kernel_integral,
 )
 
-from filament.invariants import energy_quadrature, energy_spectral
-from oracles import cubic_brute_force, cubic_midpoint_rule, energy_midpoint_rule
+from filament.invariants import _energy_grid_raw, energy_quadrature, energy_spectral
+from oracles import (
+    cubic_brute_force,
+    cubic_midpoint_rule,
+    energy_grid_numpy_fft,
+    energy_midpoint_rule,
+    grid_kernel_numpy_fft,
+)
 
 ROUTES = [c_sigma_direct, c_sigma_unsym, c_sigma_fast]
 
@@ -78,8 +85,8 @@ def test_route_equivalence_at_scale(sigma):
 
 # c_sigma_fast runs the truncated kernel on 2N - 1 modes (2N - 2 after the
 # sigma = 1 shift): its Toeplitz/grid crossover from both sides, for each
-# sigma; 28/29 are Toeplitz sizes, 80/81/82, 161 and 200 grid ones
-FAST_SIZES = [1, 2, 3, 17, 28, 29, 80, 81, 82, 161, 200,
+# sigma; 28/29 are Toeplitz sizes, 60/61/62, 80/81/82, 161 and 200 grid ones
+FAST_SIZES = [1, 2, 3, 17, 28, 29, 60, 61, 62, 80, 81, 82, 161, 200,
               (_TOEPLITZ_MAX_N + 1) // 2, (_TOEPLITZ_MAX_N + 1) // 2 + 1, (_TOEPLITZ_MAX_N + 1) // 2 + 2]
 
 
@@ -97,9 +104,9 @@ def test_fast_route_matches_direct_on_seeded_states(n, sigma):
 
 # both forms of the truncated kernel, for each sigma, and its crossover from
 # both sides (sigma = 1 runs the grid on N - 1 modes); 56/57 are Toeplitz
-# sizes, 128, 160, 161, 162 and 200 grid ones
+# sizes, 120, 121, 128, 160, 161, 162 and 200 grid ones
 TRUNC_SIZES = [1, 2, 3, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1,
-               128, 160, 161, 162, 200]
+               120, 121, 128, 160, 161, 162, 200]
 
 
 @pytest.mark.parametrize("n", TRUNC_SIZES)
@@ -115,7 +122,7 @@ def test_truncated_kernel_matches_direct(n, sigma):
             assert got[0] == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 200])
+@pytest.mark.parametrize("n", [2, 17, 56, 57, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 120, 121, 200])
 def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
     # E_1 does not see mode 1: however large a_1 is, the output is that of
     # a_2..a_N, to the same relative accuracy
@@ -133,7 +140,7 @@ def test_truncated_kernel_sigma1_ignores_a_dominant_first_mode(n):
     assert got[0] == 0.0
 
 
-@pytest.mark.parametrize("n", [2, 17, 56, _TOEPLITZ_MAX_N])
+@pytest.mark.parametrize("n", [2, 17, 56, _TOEPLITZ_MAX_N, 120])
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_toeplitz_constants_are_read_only(n, sigma):
     consts = _toeplitz_constants(n, sigma)
@@ -267,7 +274,7 @@ def test_quadrature_routes_match_the_midpoint_oracle(sigma, n, n_quad):
         assert abs(energy - energy_midpoint_rule(st.coeffs, sigma, n_quad)) <= 1e-11 * norm**4
 
 
-@pytest.mark.parametrize("n", [1, 2, 32, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 256])
+@pytest.mark.parametrize("n", [1, 2, 32, _TOEPLITZ_MAX_N, _TOEPLITZ_MAX_N + 1, 120, 121, 256])
 @pytest.mark.parametrize("sigma", [0, 1])
 def test_rhs_into_a_row_changes_no_bit(n, sigma):
     # an RK4 step writes each slope into a row of its stage array; the
@@ -280,3 +287,21 @@ def test_rhs_into_a_row_changes_no_bit(n, sigma):
     assert rhs(a, out=row) is row
     assert row.tobytes() == rhs(a).tobytes()
     assert np.isnan(np.delete(stages, 3, axis=0)).all()  # no other row is touched
+
+
+# odd and even M (M = 63 at N - sigma = 31, 245 at 122), and the one-point grid
+# of N = 1 at sigma = 1
+@pytest.mark.parametrize("n", [1, 2, 13, 31, 32, 121, 122, 123, 256, 257, 300])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_grid_form_has_the_bits_of_the_numpy_fft_body(monkeypatch, n, sigma):
+    # the grid form and the Lambda-form energy call pocketfft's gufuncs
+    # directly; they must give the bits of the same body through np.fft
+    monkeypatch.setattr(nonlinearity, "_TOEPLITZ_MAX_N", 0)  # the grid form at every N
+    kernels = _kernels.__wrapped__(n, sigma)
+    rng = np.random.default_rng(n)
+    a = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.arange(1, n + 1)
+    inv_m = 1.0 / nonlinearity._trunc_constants(n - sigma).m
+    assert np.array_equal(kernels.c_sigma(a), grid_kernel_numpy_fft(a, sigma, inv_m))
+    ip_m = 1j * (np.arange(1.0, n + 1.0) * inv_m)
+    assert np.array_equal(kernels.rhs(a), grid_kernel_numpy_fft(a, sigma, ip_m))
+    assert _energy_grid_raw(a, sigma) == energy_grid_numpy_fft(a, sigma)

@@ -26,3 +26,14 @@ def test_module_all_lists_every_public_definition(module):
                and value.__module__ == module.__name__}
     assert defined <= set(module.__all__)
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+def test_numpy_provides_the_pocketfft_gufuncs_of_the_grid_form():
+    # nonlinearity._trunc_constants resolves these (numpy >= 2.0); a numpy that
+    # renames them fails here by name
+    from numpy.fft import _pocketfft_umath as pfu
+
+    signatures = {"ifft": "(m),()->(n)", "irfft": "(m),()->(n)", "fft": "(n),()->(m)",
+                  "rfft_n_even": "(n),()->(m)", "rfft_n_odd": "(n),()->(m)"}
+    assert {name: getattr(getattr(pfu, name, None), "signature", None)
+            for name in signatures} == signatures
