@@ -38,7 +38,7 @@ from .nonlinearity import (
 )
 from .invariants import (
     _check_sobolev_exponent,
-    _sobolev_field,
+    _sobolev_fields,
     energy_spectral,
     energy_lambda_form,
     energy_quadrature,
@@ -216,16 +216,12 @@ def _snapshot_name(i: int) -> str:
     return f"snapshot-{i:0{len(str(_MAX_STEPS))}d}.json"
 
 
-def _hs_exponents(hs) -> tuple:
-    """The ``--hs`` exponents, or ValueError naming two whose norms would
-    share one record field, where the second would overwrite the first."""
-    seen = {}
-    for s in hs:
-        name = _sobolev_field(s)
-        if name in seen:
-            raise ValueError(f"--hs values {seen[name]!r} and {s!r} share the record field {name!r}")
-        seen[name] = s
-    return tuple(hs)
+def _hs_fields(hs) -> dict:
+    """``_sobolev_fields`` of the ``--hs`` exponents; its ValueError names the flag."""
+    try:
+        return _sobolev_fields(hs)
+    except ValueError as exc:
+        raise ValueError(f"--hs {exc}") from None
 
 
 def _scheme_name(name: str) -> str:
@@ -242,7 +238,7 @@ def cmd_simulate(args, writer) -> int:
         t_end=args.t_end,
         sample_every=args.sample_every,
     )
-    hs = _hs_exponents(args.hs)
+    hs = tuple(_hs_fields(args.hs).values())
     state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     writer.header({
         "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
@@ -480,13 +476,13 @@ def cmd_wave_residual(args, writer) -> int:
 
 
 def cmd_invariants(args, writer) -> int:
-    hs = _hs_exponents(args.hs)
+    hs = _hs_fields(args.hs)
     state = _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     n_quad = args.n_quad or max(1024, 8 * state.n_modes)
     _check_n_quad(state.n_modes, n_quad)
     writer.header({
         "sigma": args.sigma, "n_modes": state.n_modes, "init": args.init,
-        "n_quad": n_quad, "h_s": list(hs),
+        "n_quad": n_quad, "h_s": list(hs.values()),
     })
     es = energy_spectral(state)
     rec = {
@@ -500,8 +496,8 @@ def cmd_invariants(args, writer) -> int:
         "a1_im": first_mode(state).imag,
         "pairing_defect": pairing_check(state),
     }
-    for s in hs:
-        rec[_sobolev_field(s)] = sobolev_norm(state, s)
+    for name, s in hs.items():
+        rec[name] = sobolev_norm(state, s)
     writer.emit(rec)
     return EXIT_OK
 

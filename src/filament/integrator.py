@@ -26,7 +26,7 @@ ring whose newest row is ``head``, so f_j sits on row (head - j) mod q.
 The dt-scaled weights dt (-1)^j C(n, j+1) are cached on those rows per
 (n, head), which makes the start one dot of the weights with the ring plus
 one add, and keeping a slope one row write.  Without history the solve
-starts from the explicit Euler guess a + dt f(a).
+starts from a itself, whose first iterate is the explicit Euler guess.
 
 An RK4 step is its Butcher tableau (Hairer, Norsett and Wanner, *Solving
 Ordinary Differential Equations I*, sec. II.1) run in a (5, N) stage array
@@ -190,12 +190,12 @@ class StepMemory:
     It holds the right-hand side bound to the run's (N, sigma), the RK4
     stage array and its dt-scaled weights, or the last q converged
     implicit-midpoint slopes (``slopes``, newest first) from which each
-    solve starts, and the counts of the work done:
-    ``rhs_evals`` and ``midpoint_max_iterations``; RK4 steps add only to
-    ``rhs_evals``.  A step of another N, sigma, scheme or dt rebinds it and
-    drops the slopes, which describe another problem; the counts stay.
-    Start a fresh memory for each run: the slopes describe the trajectory
-    they came from.
+    solve starts, and the counts of the work done: ``rhs_evals`` (4 per RK4
+    step, one per midpoint iteration) and ``midpoint_max_iterations``.
+    A step of another N, sigma, scheme or dt rebinds it and drops the
+    slopes, which describe another problem; the counts stay.  Start a
+    fresh memory for each run: the slopes describe the trajectory they
+    came from.
     """
 
     def __init__(self):
@@ -267,12 +267,8 @@ class StepMemory:
 
 def _midpoint_step(a, dt, t, memory):
     f = memory._rhs
-    if memory._count:  # the past slopes extrapolated to this step (module docstring)
-        new = memory._predict(a)
-    else:
-        new = dt * f(a)  # explicit Euler predictor
-        new += a
-        memory.rhs_evals += 1
+    # the past slopes extrapolated to this step (module docstring), or a
+    new = memory._predict(a) if memory._count else a.copy()
     residual = math.inf
     for it in range(1, _MIDPOINT_MAX_ITER + 1):
         mid = a + new
@@ -317,7 +313,7 @@ def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
 
     Pass the run's ``StepMemory`` to start each midpoint solve from the past
     slopes and to count the work; without one the solve starts from the
-    explicit Euler guess.
+    state itself, whose first iterate is the explicit Euler guess.
     """
     out = _advance(state.coeffs, state.sigma, config, t, memory)
     return SpectralState._adopt(state.sigma, out)  # out is the step's own array
@@ -330,7 +326,7 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     non-finite step or sample ends the run with ``StepFailure``.
     """
     n_steps = config.n_steps()
-    a = np.array(state.coeffs)
+    current = state
     memory = StepMemory()
 
     times = [0.0]
@@ -338,12 +334,11 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     reports = [invariant_report(state, h_s)]
     sample_record(0.0, reports[0])
     for i in range(1, n_steps + 1):
-        a = _advance(a, state.sigma, config, (i - 1) * config.dt, memory)
+        current = step(current, config, (i - 1) * config.dt, memory)
         if i % config.sample_every == 0 or i == n_steps:
-            snap = state.with_coeffs(a)
             times.append(i * config.dt)
-            states.append(snap)
-            reports.append(invariant_report(snap, h_s))
+            states.append(current)
+            reports.append(invariant_report(current, h_s))
             sample_record(times[-1], reports[-1])
     return Trajectory(np.array(times), states, reports)
 

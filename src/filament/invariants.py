@@ -166,10 +166,17 @@ def _check_sobolev_exponent(s: float) -> float:
     return s
 
 
-def _sobolev_field(s: float) -> str:
-    """The record field of the H^s norm, e.g. ``H0.5``; -0 and 0, one key of
-    ``InvariantReport.h_s_norms``, share ``H0``."""
-    return f"H{s + 0.0:g}"
+def _sobolev_fields(h_s) -> dict:
+    """{record field: exponent} of the H^s norms, the field e.g. ``H0.5``
+    (-0 and 0 share ``H0``), or ValueError naming two exponents whose norms
+    would share one field, where the second would overwrite the first."""
+    fields = {}
+    for s in h_s:
+        name = f"H{s + 0.0:g}"
+        if name in fields:
+            raise ValueError(f"exponents {fields[name]!r} and {s!r} share the record field {name!r}")
+        fields[name] = s
+    return fields
 
 
 def sobolev_norm(state: SpectralState, s: float) -> float:
@@ -230,7 +237,8 @@ def energy_gradient_check(state: SpectralState, h: float) -> float:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """Values of the conserved quantities for one state."""
+    """Values of the conserved quantities for one state; ``h_s_norms`` maps
+    each H^s record field (``_sobolev_fields``) to its norm."""
 
     energy: float
     momentum: float
@@ -239,16 +247,14 @@ class InvariantReport:
     h_s_norms: dict
 
     def to_record(self) -> dict:
-        rec = {
+        return {
             "E": self.energy,
             "P": self.momentum,
             "M": self.mass,
             "a1_re": self.a1.real,
             "a1_im": self.a1.imag,
+            **self.h_s_norms,
         }
-        for s, value in self.h_s_norms.items():
-            rec[_sobolev_field(s)] = value
-        return rec
 
 
 def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
@@ -259,7 +265,8 @@ def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
     agree to rounding), O(N log N) in two transforms on the kernel's grid,
     so it is the per-sample diagnostic of every trajectory.  P and M share
     one |a|^2.  A value beyond the float range comes out non-finite,
-    without a warning, for ``integrator.sample_record`` to reject.
+    without a warning, for ``integrator.sample_record`` to reject.  Two
+    exponents of ``h_s`` that share a record field raise ValueError.
     """
     a = state.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
@@ -270,5 +277,5 @@ def invariant_report(state: SpectralState, h_s: tuple = ()) -> InvariantReport:
             momentum=p,
             mass=m,
             a1=first_mode(state),
-            h_s_norms={float(s): sobolev_norm(state, s) for s in h_s},
+            h_s_norms={name: sobolev_norm(state, s) for name, s in _sobolev_fields(h_s).items()},
         )

@@ -144,11 +144,7 @@ def seeded_state(
     rng = np.random.default_rng(seed)
     k = np.arange(1, n_modes + 1, dtype=float)
     raw = (rng.standard_normal(n_modes) + 1j * rng.standard_normal(n_modes)) / k**decay
-    norm = np.linalg.norm(raw)
-    if norm == 0.0:  # cannot happen for a continuous distribution, but be safe
-        raw = np.ones(n_modes, dtype=np.complex128) / k**decay
-        norm = np.linalg.norm(raw)
-    return SpectralState(sigma, raw * (amplitude / norm))
+    return SpectralState(sigma, raw * (amplitude / np.linalg.norm(raw)))
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,8 @@ def orbital_stability_probe(
     if k not in (1, 2):
         raise ValueError(f"the probe targets k in {{1, 2}}, got {k}")
     base = make_psi_k(k, sigma, n_modes)
-    if eps > 0.0:
-        noise = seeded_state(sigma, n_modes, seed, decay=0.0, amplitude=1.0).coeffs
-        noise = noise / p_norm(noise)
-        start = base.with_coeffs(base.coeffs + eps * noise)
-    else:
-        start = base
+    noise = seeded_state(sigma, n_modes, seed, decay=0.0, amplitude=1.0).coeffs
+    start = base.with_coeffs(base.coeffs + eps * (noise / p_norm(noise)))
     traj = simulate(start, config)
     dists = np.array([orbit_distance(s, base) for s in traj.states])
     return OrbitProbeResult(traj.times, dists, traj.reports, seed)

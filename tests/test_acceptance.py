@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
-lines; every tolerance is pinned here and nowhere else.
+lines; every acceptance tolerance is pinned here and nowhere else.
 """
 
 import numpy as np

@@ -165,7 +165,9 @@ def test_simulate_step_failure_exit_code(tmp_path):
 
 
 def test_midpoint_rhs_evaluations_per_step_on_the_conserve_shape(tmp_path):
-    # perfbench's conserve-n256 job at seed 0, counted: the Euler start took 6.00
+    # perfbench's conserve-n256 job at seed 0, counted: solves without the
+    # predictor (each started from the state, its first iterate the Euler
+    # guess) took 6.00 evaluations per step
     snap = tmp_path / "state.json"
     write_snapshot(seeded_state(0, 256, 0, amplitude=0.5), snap)
     out = tmp_path / "run.jsonl"

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from filament import integrator
 from filament.spectral import SpectralState, seeded_state
 from filament.integrator import (
     StepperConfig,
     StepFailure,
     StepMemory,
+    Trajectory,
     _MAX_STEPS,
     _PREDICTOR_SLOPES,
     rhs,
@@ -106,6 +108,33 @@ def test_trajectory_structure():
     assert traj.times[-1] == pytest.approx(0.1)
     recs = traj.records()
     assert recs[0]["t"] == 0.0 and "H1" in recs[0] and "E" in recs[0]
+
+
+def test_trajectory_rejects_inconsistent_samples():
+    traj = simulate(seeded_state(0, 6, 1), StepperConfig(scheme="rk4", dt=1e-2, t_end=0.02))
+    times, states, reports = traj.times, traj.states, traj.reports
+    with pytest.raises(ValueError, match="equal lengths"):
+        Trajectory(times, states[:-1], reports)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(times[::-1], states, reports)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Trajectory(np.zeros(3), states, reports)
+    with pytest.raises(ValueError, match="share sigma and n_modes"):
+        Trajectory(times, states[:2] + [seeded_state(1, 6, 1)], reports)
+    with pytest.raises(ValueError, match="share sigma and n_modes"):
+        Trajectory(times, states[:2] + [seeded_state(0, 7, 1)], reports)
+
+
+def test_simulate_rejects_exponents_sharing_a_field_before_any_step(monkeypatch):
+    # simulate() used to return one H0.5 field holding the second norm
+    def no_step(*args, **kwargs):
+        raise AssertionError("stepped before rejecting h_s")
+
+    monkeypatch.setattr(integrator, "_advance", no_step)
+    cfg = StepperConfig("rk4", 1e-3, 2e-3, 1)
+    with pytest.raises(ValueError, match="share the record field") as info:
+        simulate(seeded_state(0, 8, 1), cfg, h_s=(0.5, 0.5000001))
+    assert "0.5 and 0.5000001" in str(info.value)
 
 
 @pytest.mark.parametrize("sigma", [0, 1])
@@ -250,7 +279,7 @@ def test_memory_counts_rhs_evaluations_and_midpoint_iterations():
     step(st, cfg, memory=memory)
     iterations = memory.midpoint_max_iterations
     assert iterations >= 1
-    assert memory.rhs_evals == 4 + 1 + iterations  # Euler start, then one per iteration
+    assert memory.rhs_evals == 4 + iterations  # one per iteration, the first from the state itself
     assert len(memory.slopes) == 1
 
 

@@ -257,6 +257,16 @@ def test_invariant_report_fields():
     rec = rep.to_record()
     assert rec["H1"] == pytest.approx(2.0 * np.sqrt(TWO_PI), rel=1e-14)
     assert set(rec) == {"E", "P", "M", "a1_re", "a1_im", "H0", "H1"}
+    assert rep.h_s_norms == {"H0": rec["H0"], "H1": rec["H1"]}  # keyed by record field
+
+
+@pytest.mark.parametrize("h_s, values", [((0.0, -0.0), ("0.0", "-0.0")),
+                                         ((0.5, 0.5000001), ("0.5", "0.5000001"))])
+def test_invariant_report_rejects_exponents_sharing_a_field(h_s, values):
+    # both norms would be written to one field H{s:g}, the second overwriting the first
+    with pytest.raises(ValueError, match="share the record field") as info:
+        invariant_report(seeded_state(0, 8, 1), h_s)
+    assert all(v in str(info.value) for v in values)
 
 
 # _TOEPLITZ_MAX_N and the next size straddle the kernel's Toeplitz/grid

@@ -3,7 +3,8 @@ import pytest
 
 from filament.spectral import SpectralState
 from filament.invariants import energy_spectral, momentum, mass
-from filament.integrator import StepperConfig
+from filament import waves
+from filament.integrator import StepperConfig, simulate
 from filament.waves import (
     make_psi_k,
     make_two_mode,
@@ -129,10 +130,23 @@ def test_orbit_distance_transverse():
     assert d == pytest.approx(np.sqrt(TWO_PI) * 0.1, rel=1e-6)
 
 
-def test_probe_zero_perturbation():
+def test_probe_zero_perturbation(monkeypatch):
+    # at eps = 0 the start is base + 0 * noise: psi_k bit for bit, signed zeros included
+    starts = []
+
+    def recording_simulate(state, config):
+        starts.append(state)
+        return simulate(state, config)
+
+    monkeypatch.setattr(waves, "simulate", recording_simulate)
     cfg = StepperConfig(scheme="rk4", dt=1e-2, t_end=1.0, sample_every=20)
-    probe = orbital_stability_probe(1, 1, 0.0, cfg, n_modes=8, seed=0)
-    assert np.max(probe.distances) <= 1e-9
+    for k in (1, 2):
+        for sigma in (0, 1):
+            probe = orbital_stability_probe(k, sigma, 0.0, cfg, n_modes=8, seed=k + sigma)
+            base = make_psi_k(k, sigma, 8)
+            assert starts[-1].sigma == sigma
+            assert starts[-1].coeffs.tobytes() == base.coeffs.tobytes()
+            assert np.max(probe.distances) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [0, 1])
