@@ -35,11 +35,12 @@ slope k_j into row j.  Every stage input, a + dt/2 k1, a + dt/2 k2,
 a + dt k3, and the update a + dt/6 (k1 + 2 k2 + 2 k3 + k4) is one dot of a
 row of dt-scaled weights with the stage rows, so a step makes one row copy
 and four weighted sums besides its four right-hand sides, and allocates no
-slope.  The memory binds the right-hand side of the run's (N, sigma) once,
-holds the arrays of its bound scheme only (the ring, or the stage array and
-its weights), rebinds them and drops the slopes when N, sigma, the scheme
-or dt changes, and counts right-hand-side evaluations and the largest
-midpoint iteration count.
+slope.  The memory binds one step function per (N, sigma, scheme, dt) over
+the right-hand side and the arrays of its scheme only (the ring, or the
+stage array and its weights), rebinds it and drops the slopes when one of
+them changes, and counts right-hand-side evaluations and the largest
+midpoint iteration count.  A step ends with an exact finiteness test: one
+dot of zeros with its floats, as 0 x is 0 for finite x and nan otherwise.
 
 Diagnostics along a trajectory take the energy from the Lambda form on the
 truncated kernel's grid, at every N (see
@@ -169,26 +170,11 @@ def rhs(state: SpectralState) -> SpectralState:
     return state.with_coeffs(_rhs_raw(state.coeffs, state.sigma))
 
 
-def _rk4_step(a, memory):
-    """One classical RK4 step in the memory's stage array: a on row 0, the
-    slope k_j written into row j, and each stage input and the update one
-    dot of a row of dt-scaled weights with the rows written so far."""
-    f = memory._rhs
-    stages = memory._stages
-    (w1, s1), (w2, s2), (w3, s3), (w4, s4) = memory._stage_sums
-    stages[0] = a
-    f(a, out=stages[1])
-    f(w1.dot(s1), out=stages[2])
-    f(w2.dot(s2), out=stages[3])
-    f(w3.dot(s3), out=stages[4])
-    return w4.dot(s4)
-
-
 class StepMemory:
     """The workspace of one run's steps, owned by the caller.
 
-    It holds the right-hand side bound to the run's (N, sigma), the RK4
-    stage array and its dt-scaled weights, or the last q converged
+    It holds the step function of the run's (N, sigma, scheme, dt), with
+    the RK4 stage array and its dt-scaled weights, or the last q converged
     implicit-midpoint slopes (``slopes``, newest first) from which each
     solve starts, and the counts of the work done: ``rhs_evals`` (4 per RK4
     step, one per midpoint iteration) and ``midpoint_max_iterations``.
@@ -202,34 +188,60 @@ class StepMemory:
         self.rhs_evals = 0
         self.midpoint_max_iterations = 0
         self._problem = None  # (N, sigma, scheme, dt) of the bound workspace
+        self._config = self._n = self._sigma = None  # the last step's, for the identity test
         self._count = 0
 
     def _bind(self, n, sigma, config):
+        """The step function of this problem, ``advance(a, t) -> (out, finite)``."""
+        if config is self._config and n == self._n and sigma == self._sigma:
+            return self._step
+        self._config, self._n, self._sigma = config, n, sigma
         problem = (n, sigma, config.scheme, config.dt)
         if problem == self._problem:
-            return
+            return self._step
         self._problem = problem
-        self._rhs = _kernels(n, sigma).rhs
+        self._rhs = f = _kernels(n, sigma).rhs
         self._count = 0  # midpoint slopes held
-        self._ring = self._stages = self._stage_sums = None  # drop the other scheme's arrays
+        self._ring = self._stages = None  # drop the other scheme's arrays
+        zero2 = np.zeros(2 * n)  # the finiteness test's zeros, one per float of a step
+        h = config.dt
         if config.scheme == "rk4":
-            h = config.dt
             # rows a, k1..k4; one row of weights per stage input and the update
-            self._stages = np.zeros((5, n), dtype=np.complex128)
+            self._stages = stages = np.zeros((5, n), dtype=np.complex128)
             weights = np.array([[1.0, h / 2, 0.0, 0.0, 0.0],
                                 [1.0, 0.0, h / 2, 0.0, 0.0],
                                 [1.0, 0.0, 0.0, h, 0.0],
                                 [1.0, h / 6, h / 3, h / 3, h / 6]], dtype=np.complex128)
             # sum j reads rows 0..j+1 only, the rows its step has written, so a
             # row left non-finite by a failed step never meets a zero weight
-            self._stage_sums = tuple((weights[j, : j + 2], self._stages[: j + 2])
-                                     for j in range(4))
-            return
-        # zeros, not empty: a row not yet written meets a zero weight, and
-        # 0 times an uninitialised nan or inf is nan
-        self._ring = np.zeros((_PREDICTOR_SLOPES, n), dtype=np.complex128)
-        self._head = 0  # row of the newest slope
-        self._weights = {}  # (count, head) -> predictor weights on the ring rows
+            (d1, s1), (d2, s2), (d3, s3), (d4, s4) = (
+                (weights[j, : j + 2].dot, stages[: j + 2]) for j in range(4))
+            k1, k2, k3, k4 = stages[1:]
+
+            def advance(a, t):
+                # an overflowing step is caught by the finiteness test, not by warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    stages[0] = a
+                    f(a, out=k1)
+                    f(d1(s1), out=k2)
+                    f(d2(s2), out=k3)
+                    f(d3(s3), out=k4)
+                    out = d4(s4)
+                    self.rhs_evals += 4
+                    return out, math.isfinite(zero2.dot(out.view(np.float64)))
+        else:
+            # zeros, not empty: a row not yet written meets a zero weight, and
+            # 0 times an uninitialised nan or inf is nan
+            self._ring = np.zeros((_PREDICTOR_SLOPES, n), dtype=np.complex128)
+            self._head = 0  # row of the newest slope
+            self._weights = {}  # (count, head) -> predictor weights on the ring rows
+
+            def advance(a, t):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    out = _midpoint_step(a, h, t, self)
+                    return out, math.isfinite(zero2.dot(out.view(np.float64)))
+        self._step = advance
+        return advance
 
     @property
     def slopes(self) -> tuple:
@@ -293,15 +305,8 @@ def _midpoint_step(a, dt, t, memory):
 
 def _advance(a, sigma, config, t, memory=None):
     memory = StepMemory() if memory is None else memory
-    memory._bind(a.size, sigma, config)
-    # an overflowing step is caught by the finiteness test, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.scheme == "rk4":
-            out = _rk4_step(a, memory)
-            memory.rhs_evals += 4
-        else:
-            out = _midpoint_step(a, config.dt, t, memory)
-    if not np.isfinite(out).all():
+    out, finite = memory._bind(a.size, sigma, config)(a, t)
+    if not finite:
         raise StepFailure(t, 0, np.inf, f"{config.scheme} step from t = {t:g} "
                           "produced non-finite coefficients")
     return out

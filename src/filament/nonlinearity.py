@@ -32,8 +32,9 @@ constants bound once per (N, sigma), in one of two forms by N:
 
 - N <= ``_TOEPLITZ_MAX_N``: the unsymmetrized triple sum as one Toeplitz
   mat-vec, C_p = sum_k W[p, k] c_{p-k} a_k with c = |u|^2 on modes
-  1-N..N-1 and the weight W = k - |k-p| - sigma (``_toeplitz_raw``; the
-  right-hand side folds i p into a second weight);
+  1-N..N-1 and the weight W = k - |k-p| - sigma (``_toeplitz_form``; the
+  right-hand side folds i p into a second weight), by numpy's ``correlate2``,
+  the body of ``np.correlate``, called directly as the grid form's gufuncs;
 - above: the one FFT-grid body on M >= 2N - 1 points, where modes 1..N of
   the cubic product are alias-free (``_grid_raw``).  Its transforms do not
   scale; the 1/M factors are folded into the symbol of L and into the
@@ -57,6 +58,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.multiarray import correlate2
 
 from .spectral import SpectralState, dealiased_grid_size, _analyze, _next_fast_len, _synthesize
 
@@ -168,11 +170,10 @@ def _toeplitz_constants(n: int, sigma: int) -> _Toeplitz:
     return consts
 
 
-def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarray,
-                  out=None) -> np.ndarray:
-    """Modes 1..N of C_sigma with the weight W, or of i p C_sigma with i p W,
-    of ``_toeplitz_constants``, for the sizes of ``_on_toeplitz``; written
-    into ``out`` when given.
+def _toeplitz_form(sigma: int, index: np.ndarray, weight: np.ndarray):
+    """``f(a, out=None)``: modes 1..N of C_sigma with the weight W, or of
+    i p C_sigma with i p W, of ``_toeplitz_constants``, for the sizes of
+    ``_on_toeplitz``; written into ``out`` when given.
 
     One Toeplitz mat-vec: c_s = sum_{l-m=s} a_l conj(a_m) is |u|^2, and
     C_p = sum_k W[p, k] c_{p-k} a_k is the unsymmetrized triple sum.  At
@@ -181,10 +182,12 @@ def _toeplitz_raw(a: np.ndarray, sigma: int, index: np.ndarray, weight: np.ndarr
     exactly 0; keeping those terms would cancel them in rounding, which
     loses digits when a_1 dominates.
     """
-    b = a[sigma:]
-    t = np.correlate(b, b, "full")[index]
-    t *= weight
-    return t.dot(a, out=out)
+    def toeplitz(a, out=None):
+        b = a[sigma:]
+        t = correlate2(b, b, 2)[index]
+        t *= weight
+        return t.dot(a, out=out)
+    return toeplitz
 
 
 _TruncConstants = namedtuple("_TruncConstants", "k absf m ifft rfft irfft fft")
@@ -260,8 +263,9 @@ _Kernels = namedtuple("_Kernels", "c_sigma rhs")
 def _kernels(n: int, sigma: int) -> _Kernels:
     """Q^N C_sigma and the right-hand side i p [Q^N C_sigma]_p of the
     truncated flow at bandwidth N = n, each a function of the coefficients
-    with its form and constants bound: the Toeplitz mat-vec on the sizes of
-    ``_on_toeplitz``, else the grid.
+    with its form and constants bound: a closure over the Toeplitz mat-vec,
+    which calls ``correlate2`` directly, on the sizes of ``_on_toeplitz``,
+    else the grid, which calls the pocketfft gufuncs.
 
     min(k,l,m,p) - 1 = min(k-1, l-1, m-1, p-1) on the interaction set, and
     any shifted index hitting 0 kills the weight, so the sigma = 1 operator
@@ -275,8 +279,8 @@ def _kernels(n: int, sigma: int) -> _Kernels:
     """
     if _on_toeplitz(n, sigma):
         index, weight, rhs_weight = _toeplitz_constants(n, sigma)
-        return _Kernels(lambda a: _toeplitz_raw(a, sigma, index, weight),
-                        lambda a, out=None: _toeplitz_raw(a, sigma, index, rhs_weight, out))
+        return _Kernels(_toeplitz_form(sigma, index, weight),
+                        _toeplitz_form(sigma, index, rhs_weight))
     consts = _trunc_constants(n - sigma)
     inv_m = 1.0 / consts.m
     ip_m = 1j * (np.arange(1.0, n + 1.0) * inv_m)

@@ -114,6 +114,25 @@ def grid_kernel_numpy_fft(coeffs, sigma, scale):
     return out
 
 
+def toeplitz_kernel_numpy_correlate(coeffs, sigma, rhs):
+    """Modes 1..N of C_sigma, or of i p C_sigma when ``rhs``, in the operations
+    of the truncated kernel's Toeplitz form with the correlation a public
+    ``np.correlate`` call: the body that form reproduces bit for bit."""
+    a = np.asarray(coeffs, dtype=np.complex128)
+    n = a.size
+    p = np.arange(1, n + 1)[:, None]
+    k = np.arange(1, n + 1)
+    index = np.clip(p - k + (n - 1 - sigma), 0, 2 * (n - sigma) - 2)
+    weight = (k - np.abs(k - p) - sigma).astype(np.complex128)
+    weight[:, :sigma] = 0.0
+    if rhs:
+        weight = 1j * p * weight
+    b = a[sigma:]
+    t = np.correlate(b, b, "full")[index]
+    t *= weight
+    return t.dot(a)
+
+
 def energy_grid_numpy_fft(coeffs, sigma):
     """The Lambda-form energy on the same grid, in the operations of the
     per-sample energy with its transforms public ``np.fft`` calls."""

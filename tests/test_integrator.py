@@ -1,3 +1,6 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
 
@@ -331,6 +334,71 @@ def test_memory_rebinds_to_another_problem():
         got = step(wide, config, memory=memory).coeffs
         assert np.array_equal(got, step(wide, config, memory=StepMemory()).coeffs)
         assert memory.slopes == ()
+
+
+def test_memory_keeps_its_slopes_under_an_equal_config():
+    # the memory skips its problem comparison when it sees the config object
+    # of its last step; an equal problem under another config object (another
+    # t_end) must still keep the slopes (test_memory_rebinds_to_another_problem
+    # changes N and sigma under the same object)
+    dt = 1e-4
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=dt, t_end=1e-3)
+    other = StepperConfig(scheme="implicit_midpoint", dt=dt, t_end=2e-3)
+    start = seeded_state(0, 16, 2, amplitude=0.5)
+    same, switched = StepMemory(), StepMemory()
+    a = b = start
+    for i, config in enumerate([cfg, cfg, other, other, cfg]):
+        a = step(a, cfg, i * dt, same)
+        b = step(b, config, i * dt, switched)
+        assert b.coeffs.tobytes() == a.coeffs.tobytes()
+        assert len(switched.slopes) == i + 1
+
+
+def _step_returning(monkeypatch, scheme, coeffs):
+    """A step of ``scheme`` whose output is ``coeffs`` (up to the sign of a
+    zero): the midpoint solve is replaced by a copy of them, and RK4 runs on
+    them with a zero right-hand side, so its update is 1 a + 0."""
+    def zero(a, out=None):
+        out = np.empty_like(a) if out is None else out
+        out[...] = 0.0
+        return out
+
+    monkeypatch.setattr(integrator, "_kernels", lambda n, sigma: types.SimpleNamespace(rhs=zero))
+    monkeypatch.setattr(integrator, "_midpoint_step", lambda a, dt, t, memory: coeffs.copy())
+    config = StepperConfig(scheme=scheme, dt=1e-3, t_end=1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return step(SpectralState(0, coeffs), config, memory=StepMemory())
+
+
+def _placed(value, part, index, n=8):
+    coeffs = seeded_state(0, n, 1).coeffs.copy()
+    if part == "real":
+        coeffs[index] = complex(value, coeffs[index].imag)
+    else:
+        coeffs[index] = complex(coeffs[index].real, value)
+    return coeffs
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_step_with_a_non_finite_output_fails(monkeypatch, scheme, value):
+    # the step's finiteness test is one dot of zeros with the output's floats
+    for part in ("real", "imag"):
+        for index in (0, 3, 7):  # modes 1, N/2 and N of N = 8
+            coeffs = _placed(value, part, index)
+            with pytest.raises(StepFailure, match="non-finite"):
+                _step_returning(monkeypatch, scheme, coeffs)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit_midpoint"])
+@pytest.mark.parametrize("value", [1.7e308, -1.7e308, 5e-324, -0.0])
+def test_step_with_finite_extremes_passes(monkeypatch, scheme, value):
+    for part in ("real", "imag"):
+        for index in (0, 3, 7):
+            coeffs = _placed(value, part, index)
+            out = _step_returning(monkeypatch, scheme, coeffs).coeffs
+            assert np.array_equal(out, coeffs)
 
 
 def test_config_rejects_fractional_step_count():
