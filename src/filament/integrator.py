@@ -39,8 +39,10 @@ slope.  The memory binds one step function per (N, sigma, scheme, dt) over
 the right-hand side and the arrays of its scheme only (the ring, or the
 stage array and its weights), rebinds it and drops the slopes when one of
 them changes, and counts right-hand-side evaluations and the largest
-midpoint iteration count.  A step ends with an exact finiteness test: one
-dot of zeros with its floats, as 0 x is 0 for finite x and nan otherwise.
+midpoint iteration count.  The step function is the whole step: it returns
+the new coefficients or raises ``StepFailure``, under its caller's
+``np.errstate``, and its output passes an exact finiteness test: one dot
+of zeros with its floats, as 0 x is 0 for finite x and nan otherwise.
 
 Diagnostics along a trajectory take the energy from the Lambda form on the
 truncated kernel's grid, at every N (see
@@ -173,11 +175,12 @@ def rhs(state: SpectralState) -> SpectralState:
 class StepMemory:
     """The workspace of one run's steps, owned by the caller.
 
-    It holds the step function of the run's (N, sigma, scheme, dt), with
-    the RK4 stage array and its dt-scaled weights, or the last q converged
-    implicit-midpoint slopes (``slopes``, newest first) from which each
-    solve starts, and the counts of the work done: ``rhs_evals`` (4 per RK4
-    step, one per midpoint iteration) and ``midpoint_max_iterations``.
+    It holds the step function of the run's (N, sigma, scheme, dt), which
+    returns the new coefficients or raises ``StepFailure`` (see ``_bind``),
+    with the RK4 stage array and its dt-scaled weights, or the last q
+    converged implicit-midpoint slopes (``slopes``, newest first) from which
+    each solve starts, and the counts of the work done: ``rhs_evals`` (4 per
+    RK4 step, one per midpoint iteration) and ``midpoint_max_iterations``.
     A step of another N, sigma, scheme or dt rebinds it and drops the
     slopes, which describe another problem; the counts stay.  Start a
     fresh memory for each run: the slopes describe the trajectory they
@@ -192,7 +195,8 @@ class StepMemory:
         self._count = 0
 
     def _bind(self, n, sigma, config):
-        """The step function of this problem, ``advance(a, t) -> (out, finite)``."""
+        """The step function of this problem, ``advance(a, t) -> out`` or StepFailure;
+        its caller holds ``np.errstate(over="ignore", invalid="ignore")``."""
         if config is self._config and n == self._n and sigma == self._sigma:
             return self._step
         self._config, self._n, self._sigma = config, n, sigma
@@ -205,6 +209,7 @@ class StepMemory:
         self._ring = self._stages = None  # drop the other scheme's arrays
         zero2 = np.zeros(2 * n)  # the finiteness test's zeros, one per float of a step
         h = config.dt
+        non_finite = f"{config.scheme} step from t = {{:g}} produced non-finite coefficients"
         if config.scheme == "rk4":
             # rows a, k1..k4; one row of weights per stage input and the update
             self._stages = stages = np.zeros((5, n), dtype=np.complex128)
@@ -219,16 +224,16 @@ class StepMemory:
             k1, k2, k3, k4 = stages[1:]
 
             def advance(a, t):
-                # an overflowing step is caught by the finiteness test, not by warnings
-                with np.errstate(over="ignore", invalid="ignore"):
-                    stages[0] = a
-                    f(a, out=k1)
-                    f(d1(s1), out=k2)
-                    f(d2(s2), out=k3)
-                    f(d3(s3), out=k4)
-                    out = d4(s4)
-                    self.rhs_evals += 4
-                    return out, math.isfinite(zero2.dot(out.view(np.float64)))
+                stages[0] = a
+                f(a, out=k1)
+                f(d1(s1), out=k2)
+                f(d2(s2), out=k3)
+                f(d3(s3), out=k4)
+                out = d4(s4)
+                self.rhs_evals += 4
+                if math.isfinite(zero2.dot(out.view(np.float64))):
+                    return out
+                raise StepFailure(t, 0, np.inf, non_finite.format(t))
         else:
             # zeros, not empty: a row not yet written meets a zero weight, and
             # 0 times an uninitialised nan or inf is nan
@@ -237,9 +242,10 @@ class StepMemory:
             self._weights = {}  # (count, head) -> predictor weights on the ring rows
 
             def advance(a, t):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    out = _midpoint_step(a, h, t, self)
-                    return out, math.isfinite(zero2.dot(out.view(np.float64)))
+                out = _midpoint_step(a, h, t, self)
+                if math.isfinite(zero2.dot(out.view(np.float64))):
+                    return out
+                raise StepFailure(t, 0, np.inf, non_finite.format(t))
         self._step = advance
         return advance
 
@@ -251,36 +257,26 @@ class StepMemory:
         rows = (self._head - np.arange(self._count)) % _PREDICTOR_SLOPES
         return tuple(self._ring[rows].copy())
 
-    def _predict(self, a):
-        """a + dt sum_j (-1)^j C(n, j+1) f_j over the n held slopes f_j,
-        newest first: one dot of the cached weights with the ring, one add."""
-        key = (self._count, self._head)
-        weights = self._weights.get(key)
-        if weights is None:
-            dt = self._problem[3]
-            weights = np.zeros(_PREDICTOR_SLOPES, dtype=np.complex128)
-            for j in range(self._count):
-                weights[(self._head - j) % _PREDICTOR_SLOPES] = (
-                    dt * (-1) ** j * math.comb(self._count, j + 1))
-            self._weights[key] = weights
-        new = weights.dot(self._ring)
-        new += a
-        return new
-
-    def _push(self, slope):
-        self._head = (self._head + 1) % _PREDICTOR_SLOPES
-        self._ring[self._head] = slope
-        self._count = min(self._count + 1, _PREDICTOR_SLOPES)
-
     def counters(self) -> dict:
         return {"rhs_evals": self.rhs_evals,
                 "midpoint_max_iterations": self.midpoint_max_iterations}
 
 
 def _midpoint_step(a, dt, t, memory):
-    f = memory._rhs
-    # the past slopes extrapolated to this step (module docstring), or a
-    new = memory._predict(a) if memory._count else a.copy()
+    f, ring, count, head = memory._rhs, memory._ring, memory._count, memory._head
+    if count:
+        # the past slopes extrapolated to this step (module docstring): one dot
+        # of the weights cached per (count, head) with the ring, one add
+        weights = memory._weights.get((count, head))
+        if weights is None:
+            weights = np.zeros(_PREDICTOR_SLOPES, dtype=np.complex128)
+            for j in range(count):
+                weights[(head - j) % _PREDICTOR_SLOPES] = dt * (-1) ** j * math.comb(count, j + 1)
+            memory._weights[count, head] = weights
+        new = weights.dot(ring)
+        new += a
+    else:
+        new = a.copy()
     residual = math.inf
     for it in range(1, _MIDPOINT_MAX_ITER + 1):
         mid = a + new
@@ -292,7 +288,9 @@ def _midpoint_step(a, dt, t, memory):
         residual = math.sqrt(np.vdot(new, new).real)  # 2-norm, cheaper than linalg.norm
         new = target
         if residual <= _MIDPOINT_TOL:
-            memory._push(slope)
+            memory._head = head = (head + 1) % _PREDICTOR_SLOPES
+            ring[head] = slope
+            memory._count = min(count + 1, _PREDICTOR_SLOPES)
             memory.rhs_evals += it
             memory.midpoint_max_iterations = max(memory.midpoint_max_iterations, it)
             return new
@@ -305,11 +303,10 @@ def _midpoint_step(a, dt, t, memory):
 
 def _advance(a, sigma, config, t, memory=None):
     memory = StepMemory() if memory is None else memory
-    out, finite = memory._bind(a.size, sigma, config)(a, t)
-    if not finite:
-        raise StepFailure(t, 0, np.inf, f"{config.scheme} step from t = {t:g} "
-                          "produced non-finite coefficients")
-    return out
+    advance = memory._bind(a.size, sigma, config)
+    # an overflowing step is caught by the step's finiteness test, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        return advance(a, t)
 
 
 def step(state: SpectralState, config: StepperConfig, t: float = 0.0,

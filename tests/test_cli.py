@@ -788,6 +788,35 @@ def test_benchmark_trace_points_see_each_midpoint_step(tmp_path, monkeypatch):
     assert counts == {"step": 5, "invariant_report": 4}
 
 
+@pytest.mark.parametrize("argv, dt, n_steps, snapshots", [
+    (["--n-modes", "4", "--dt", "1e-3", "--t-end", "4e-3", "--sample-every", "2"], 1e-3, 4, True),
+    (["--scheme", "midpoint", "--n-modes", "256", "--dt", "1e-4", "--t-end", "5e-4",
+      "--sample-every", "2"], 1e-4, 5, False),
+])
+def test_simulate_calls_the_bound_step_function_once_per_step(tmp_path, monkeypatch,
+                                                              argv, dt, n_steps, snapshots):
+    # the seam a tracer or a per-sample block wraps: each call of the function
+    # that StepMemory._bind returns is one whole step, from that step's start
+    from filament import integrator
+
+    starts = []
+    bind = integrator.StepMemory._bind
+
+    def recording_bind(memory, n, sigma, config):
+        advance = bind(memory, n, sigma, config)
+
+        def recorded(a, t):
+            starts.append(t)
+            return advance(a, t)
+        return recorded
+
+    monkeypatch.setattr(integrator.StepMemory, "_bind", recording_bind)
+    if snapshots:
+        argv = argv + ["--snapshots", str(tmp_path / "snaps")]
+    assert main(["simulate", *argv, "--out", str(tmp_path / "run.jsonl")]) == 0
+    assert starts == [(i - 1) * dt for i in range(1, n_steps + 1)]
+
+
 @pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
 @pytest.mark.parametrize("n_modes", [16, 130])  # the Toeplitz and the grid kernel
 @pytest.mark.parametrize("sigma", [0, 1])
