@@ -55,8 +55,8 @@ from .integrator import (
     StepperConfig,
     StepFailure,
     StepMemory,
+    _samples,
     sample_record,
-    step,
     simulate,
 )
 from .waves import (
@@ -228,6 +228,14 @@ def _scheme_name(name: str) -> str:
     return "implicit_midpoint" if name == "midpoint" else name
 
 
+def step(advance, a, t):
+    """One step of a ``simulate`` block: ``advance(a, t)``, the run's bound
+    step function.  perfbench's tracer wraps ``cli.step`` by name, and the
+    trace-point tests pin one span per step; this seam goes once the tracer
+    wraps the function that ``StepMemory._bind`` returns."""
+    return advance(a, t)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -249,7 +257,6 @@ def cmd_simulate(args, writer) -> int:
     if args.snapshots:
         os.makedirs(args.snapshots, exist_ok=True)
 
-    n_steps = config.n_steps()
     form, *fields = args.init.split(":")
     two_mode_k = int(fields[2]) if form == "two_mode" else 0
     tracked = []  # (t, a_1, a_k) per sample: the two_mode phase fit reads these
@@ -262,13 +269,9 @@ def cmd_simulate(args, writer) -> int:
         if args.snapshots:
             write_snapshot(current, os.path.join(args.snapshots, _snapshot_name(i)))
 
-    current = state
     memory = StepMemory()
-    sample(0, current)
-    for i in range(1, n_steps + 1):
-        current = step(current, config, (i - 1) * config.dt, memory)
-        if i % config.sample_every == 0 or i == n_steps:
-            sample(i, current)
+    for i, current in _samples(state, config, memory, step):
+        sample(i, current)
 
     summary = {"record": "summary", "t_end": config.t_end, "counters": memory.counters()}
     if form == "psi_k":

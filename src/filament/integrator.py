@@ -43,6 +43,10 @@ midpoint iteration count.  The step function is the whole step: it returns
 the new coefficients or raises ``StepFailure``, under its caller's
 ``np.errstate``, and its output passes an exact finiteness test: one dot
 of zeros with its floats, as 0 x is 0 for finite x and nan otherwise.
+Both simulate loops, ``simulate`` here and the CLI's, bind their memory once
+per run and step each sample interval as one block of step-function calls
+under one ``np.errstate``, adopting one state per sample; the public ``step``
+binds and enters its errstate on every call, for callers that step alone.
 
 Diagnostics along a trajectory take the energy from the Lambda form on the
 truncated kernel's grid, at every N (see
@@ -56,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -309,6 +314,26 @@ def _advance(a, sigma, config, t, memory=None):
         return advance(a, t)
 
 
+def _samples(state, config, memory, seam=None):
+    """Yield (i, state after step i) at i = 0, every ``sample_every`` steps and
+    at the last step.  ``memory`` binds the run's step function once, and each
+    sample interval is one block of its calls, step j from t = j dt, under one
+    ``np.errstate``, with one state adopted at its end.  Given
+    ``seam(advance, a, t)``, the block makes each call through it."""
+    yield 0, state
+    advance = memory._bind(state.n_modes, state.sigma, config)
+    call = advance if seam is None else partial(seam, advance)
+    n_steps, every, dt = config.n_steps(), config.sample_every, config.dt
+    a = state.coeffs
+    for i in range(0, n_steps, every):
+        end = min(i + every, n_steps)
+        # an overflowing step is caught by the step's finiteness test, not by warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(i, end):
+                a = call(a, j * dt)
+        yield end, SpectralState._adopt(state.sigma, a)  # a is the last step's own array
+
+
 def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
          memory: StepMemory | None = None) -> SpectralState:
     """Advance one step of the configured scheme; StepFailure if it fails.
@@ -327,21 +352,12 @@ def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Tr
     The initial and final states are always included in the samples.  A
     non-finite step or sample ends the run with ``StepFailure``.
     """
-    n_steps = config.n_steps()
-    current = state
-    memory = StepMemory()
-
-    times = [0.0]
-    states = [state]
-    reports = [invariant_report(state, h_s)]
-    sample_record(0.0, reports[0])
-    for i in range(1, n_steps + 1):
-        current = step(current, config, (i - 1) * config.dt, memory)
-        if i % config.sample_every == 0 or i == n_steps:
-            times.append(i * config.dt)
-            states.append(current)
-            reports.append(invariant_report(current, h_s))
-            sample_record(times[-1], reports[-1])
+    times, states, reports = [], [], []
+    for i, current in _samples(state, config, StepMemory()):
+        times.append(i * config.dt)
+        states.append(current)
+        reports.append(invariant_report(current, h_s))
+        sample_record(times[-1], reports[-1])
     return Trajectory(np.array(times), states, reports)
 
 

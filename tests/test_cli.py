@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filament.cli import _Writer, _snapshot_name, build_parser, main, OUT_DIR_ENV
-from filament.integrator import _MAX_STEPS, StepperConfig, simulate
+from filament.cli import _Writer, _scheme_name, _snapshot_name, build_parser, main, OUT_DIR_ENV
+from filament.integrator import _MAX_STEPS, StepFailure, StepperConfig, simulate
 from filament.invariants import mass, momentum
 from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
@@ -788,21 +788,24 @@ def test_benchmark_trace_points_see_each_midpoint_step(tmp_path, monkeypatch):
     assert counts == {"step": 5, "invariant_report": 4}
 
 
+@pytest.mark.parametrize("loop", ["cli", "library"])
 @pytest.mark.parametrize("argv, dt, n_steps, snapshots", [
     (["--n-modes", "4", "--dt", "1e-3", "--t-end", "4e-3", "--sample-every", "2"], 1e-3, 4, True),
     (["--scheme", "midpoint", "--n-modes", "256", "--dt", "1e-4", "--t-end", "5e-4",
       "--sample-every", "2"], 1e-4, 5, False),
 ])
 def test_simulate_calls_the_bound_step_function_once_per_step(tmp_path, monkeypatch,
-                                                              argv, dt, n_steps, snapshots):
+                                                              argv, dt, n_steps, snapshots, loop):
     # the seam a tracer or a per-sample block wraps: each call of the function
-    # that StepMemory._bind returns is one whole step, from that step's start
+    # that StepMemory._bind returns is one whole step, from that step's start,
+    # and each run binds it once
     from filament import integrator
 
-    starts = []
+    binds, starts = [], []
     bind = integrator.StepMemory._bind
 
     def recording_bind(memory, n, sigma, config):
+        binds.append(n)
         advance = bind(memory, n, sigma, config)
 
         def recorded(a, t):
@@ -811,10 +814,50 @@ def test_simulate_calls_the_bound_step_function_once_per_step(tmp_path, monkeypa
         return recorded
 
     monkeypatch.setattr(integrator.StepMemory, "_bind", recording_bind)
-    if snapshots:
-        argv = argv + ["--snapshots", str(tmp_path / "snaps")]
-    assert main(["simulate", *argv, "--out", str(tmp_path / "run.jsonl")]) == 0
+    if loop == "library":
+        args = build_parser().parse_args(["simulate", *argv])
+        simulate(seeded_state(args.sigma, args.n_modes, 0), StepperConfig(
+            _scheme_name(args.scheme), args.dt, args.t_end, args.sample_every))
+    else:
+        if snapshots:
+            argv = argv + ["--snapshots", str(tmp_path / "snaps")]
+        assert main(["simulate", *argv, "--out", str(tmp_path / "run.jsonl")]) == 0
+    assert len(binds) == 1
     assert starts == [(i - 1) * dt for i in range(1, n_steps + 1)]
+
+
+@pytest.mark.parametrize("scheme, message", [("rk4", "non-finite coefficients"),
+                                             ("midpoint", "did not converge")],
+                         ids=["rk4", "midpoint"])
+def test_a_step_failing_inside_a_block_keeps_its_own_t(tmp_path, monkeypatch, scheme, message):
+    # the third step, from t = 0.002, gets a nan input in the middle of the first
+    # 5-step sample interval; its StepFailure names that step's start
+    from filament import integrator
+
+    calls = []  # counted across binds, whether a loop binds once per run or per step
+    bind = integrator.StepMemory._bind
+
+    def poisoning_bind(memory, n, sigma, config):
+        advance = bind(memory, n, sigma, config)
+
+        def poisoned(a, t):
+            calls.append(t)
+            return advance(np.full_like(a, np.nan) if len(calls) == 3 else a, t)
+        return poisoned
+
+    monkeypatch.setattr(integrator.StepMemory, "_bind", poisoning_bind)
+    config = StepperConfig(_scheme_name(scheme), 1e-3, 1e-2, 5)
+    with pytest.raises(StepFailure, match=message) as info:
+        simulate(seeded_state(0, 4, 1), config)
+    assert info.value.t == 0.002
+
+    calls.clear()
+    out = tmp_path / "run.jsonl"
+    assert main(["simulate", "--scheme", scheme, "--n-modes", "4", "--dt", "1e-3",
+                 "--t-end", "1e-2", "--sample-every", "5", "--out", str(out)]) == 2
+    stream = read_records(out)
+    assert [r["record"] for r in stream] == ["header", "sample", "error"]
+    assert stream[-1]["t"] == 0.002 and message in stream[-1]["message"]
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "midpoint"])
