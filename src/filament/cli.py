@@ -42,10 +42,6 @@ from .invariants import (
     energy_spectral,
     energy_lambda_form,
     energy_quadrature,
-    momentum,
-    mass,
-    first_mode,
-    sobolev_norm,
     pairing_check,
     energy_gradient_check,
     invariant_report,
@@ -60,11 +56,11 @@ from .integrator import (
     simulate,
 )
 from .waves import (
+    _closed_form_checks,
     make_psi_k,
     make_two_mode,
     wave_residual,
     stationary_scan,
-    two_mode_phase_fit,
 )
 from .minimizer import (
     _check_targets,
@@ -95,6 +91,7 @@ _CONVENTION = {
 # exception class -> (error_type, exit code), as main and the streams report them
 _ERRORS = (
     (ValueError, "validation", EXIT_VALIDATION),
+    (MemoryError, "validation", EXIT_VALIDATION),  # a size too large for this machine
     (StepFailure, "step_failure", EXIT_NUMERICAL),
     (ProjectionError, "numerical", EXIT_NUMERICAL),
     (ArithmeticError, "numerical", EXIT_NUMERICAL),
@@ -258,34 +255,19 @@ def cmd_simulate(args, writer) -> int:
         os.makedirs(args.snapshots, exist_ok=True)
 
     form, *fields = args.init.split(":")
-    two_mode_k = int(fields[2]) if form == "two_mode" else 0
-    tracked = []  # (t, a_1, a_k) per sample: the two_mode phase fit reads these
-
-    def sample(i, current):
-        t = i * config.dt
-        writer.emit({"record": "sample", **sample_record(t, invariant_report(current, hs))})
-        if two_mode_k:
-            tracked.append((t, current.coeffs[0], current.coeffs[two_mode_k - 1]))
-        if args.snapshots:
-            write_snapshot(current, os.path.join(args.snapshots, _snapshot_name(i)))
+    k = int(fields[-1]) if form in ("psi_k", "two_mode") else 0  # checked by _parse_init
+    tracked = []  # (t, a_1, a_k) per sample, for the closed-form checks of waves
 
     memory = StepMemory()
     for i, current in _samples(state, config, memory, step):
-        sample(i, current)
-
-    summary = {"record": "summary", "t_end": config.t_end, "counters": memory.counters()}
-    if form == "psi_k":
-        k = int(fields[0])
-        expected = np.exp(1j * k * (k - args.sigma) * config.t_end)
-        a_k = current.coeffs[k - 1]
-        summary["phase_deviation"] = abs(a_k - expected)
-        summary["modulus_deviation"] = abs(abs(a_k) - 1.0)
-    if two_mode_k:
-        amp_1, amp_k = (complex(x) for x in fields[:2])
-        times, series_1, series_k = zip(*tracked)
-        summary["two_mode"] = two_mode_phase_fit(
-            times, series_1, series_k, amp_1, amp_k, two_mode_k).to_record()
-    writer.emit(summary)
+        t = i * config.dt
+        writer.emit({"record": "sample", **sample_record(t, invariant_report(current, hs))})
+        if k:
+            tracked.append((t, current.coeffs[0], current.coeffs[k - 1]))
+        if args.snapshots:
+            write_snapshot(current, os.path.join(args.snapshots, _snapshot_name(i)))
+    writer.emit({"record": "summary", "t_end": config.t_end, "counters": memory.counters(),
+                 **_closed_form_checks(form, k, args.sigma, config.t_end, tracked)})
     return EXIT_OK
 
 
@@ -488,20 +470,19 @@ def cmd_invariants(args, writer) -> int:
         "n_quad": n_quad, "h_s": list(hs.values()),
     })
     es = energy_spectral(state)
-    rec = {
+    report = invariant_report(state, tuple(hs.values())).to_record()  # E is energy_lambda_form
+    writer.emit({
         "record": "invariants",
         "energy_spectral": es,
-        "energy_lambda_form": energy_lambda_form(state),
+        "energy_lambda_form": report.pop("E"),
         "energy_quadrature": energy_quadrature(state, n_quad),
-        "momentum": momentum(state),
-        "mass": mass(state),
-        "a1_re": first_mode(state).real,
-        "a1_im": first_mode(state).imag,
+        "momentum": report.pop("P"),
+        "mass": report.pop("M"),
+        "a1_re": report.pop("a1_re"),
+        "a1_im": report.pop("a1_im"),
         "pairing_defect": pairing_check(state),
-    }
-    for name, s in hs.items():
-        rec[name] = sobolev_norm(state, s)
-    writer.emit(rec)
+        **report,  # the H^s norms
+    })
     return EXIT_OK
 
 

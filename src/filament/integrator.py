@@ -196,15 +196,12 @@ class StepMemory:
         self.rhs_evals = 0
         self.midpoint_max_iterations = 0
         self._problem = None  # (N, sigma, scheme, dt) of the bound workspace
-        self._config = self._n = self._sigma = None  # the last step's, for the identity test
         self._count = 0
 
     def _bind(self, n, sigma, config):
         """The step function of this problem, ``advance(a, t) -> out`` or StepFailure;
-        its caller holds ``np.errstate(over="ignore", invalid="ignore")``."""
-        if config is self._config and n == self._n and sigma == self._sigma:
-            return self._step
-        self._config, self._n, self._sigma = config, n, sigma
+        its caller holds ``np.errstate(over="ignore", invalid="ignore")``.  An
+        equal (N, sigma, scheme, dt) gets the bound function back, slopes and all."""
         problem = (n, sigma, config.scheme, config.dt)
         if problem == self._problem:
             return self._step
@@ -306,14 +303,6 @@ def _midpoint_step(a, dt, t, memory):
         f"last residual {residual:.3e}): dt = {dt:g} is too large for this state, reduce it"))
 
 
-def _advance(a, sigma, config, t, memory=None):
-    memory = StepMemory() if memory is None else memory
-    advance = memory._bind(a.size, sigma, config)
-    # an overflowing step is caught by the step's finiteness test, not by warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        return advance(a, t)
-
-
 def _samples(state, config, memory, seam=None):
     """Yield (i, state after step i) at i = 0, every ``sample_every`` steps and
     at the last step.  ``memory`` binds the run's step function once, and each
@@ -342,7 +331,11 @@ def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
     slopes and to count the work; without one the solve starts from the
     state itself, whose first iterate is the explicit Euler guess.
     """
-    out = _advance(state.coeffs, state.sigma, config, t, memory)
+    memory = StepMemory() if memory is None else memory
+    advance = memory._bind(state.n_modes, state.sigma, config)
+    # an overflowing step is caught by the step's finiteness test, not by warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = advance(state.coeffs, t)
     return SpectralState._adopt(state.sigma, out)  # out is the step's own array
 
 

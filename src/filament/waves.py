@@ -11,6 +11,9 @@ c = 0, w = k(k - sigma); for sigma = 1 the two-mode family a_1 = A,
 a_k = B is exactly preserved by the flow because every cross interaction
 carries the weight min(.., 1) - 1 = 0, which leaves the mode-k phase
 drifting at k(k-1)|B|^2.
+
+Both families check the runs that start on them: ``_closed_form_checks``
+turns such a run's sampled (t, a_1, a_k) into its summary fields.
 """
 
 from __future__ import annotations
@@ -247,16 +250,15 @@ def two_mode_phase_report(
         traj.times,
         [s.coeffs[0] for s in traj.states],
         [s.coeffs[k - 1] for s in traj.states],
-        amp_1, amp_k, k,
+        k,
     )
 
 
-def two_mode_phase_fit(
-    times, series_1, series_k, amp_1: complex, amp_k: complex, k: int,
-) -> TwoModePhaseReport:
-    """The two-mode report from sampled a_1 and a_k of a run started at
-    a_1 = amp_1, a_k = amp_k: a least-squares slope of the unwrapped arg a_k
-    and the largest modulus drifts."""
+def two_mode_phase_fit(times, series_1, series_k, k: int) -> TwoModePhaseReport:
+    """The two-mode report from sampled a_1 and a_k of a run whose first
+    sample is its start, a_1 = A, a_k = B: a least-squares slope of the
+    unwrapped arg a_k and the largest modulus drifts from |A| and |B|."""
+    amp_1, amp_k = complex(series_1[0]), complex(series_k[0])
     series_1 = np.asarray(series_1)
     series_k = np.asarray(series_k)
     phases = np.unwrap(np.angle(series_k))
@@ -269,3 +271,16 @@ def two_mode_phase_fit(
         amp_1_drift=float(np.max(np.abs(np.abs(series_1) - abs(amp_1)))),
         amp_k_drift=float(np.max(np.abs(np.abs(series_k) - abs(amp_k)))),
     )
+
+
+def _closed_form_checks(form: str, k: int, sigma: int, t_end: float, tracked) -> dict:
+    """The closed-form check of a run started from ``--init`` form ``psi_k``
+    or ``two_mode``, from its (t, a_1, a_k) per sample: the final a_k against
+    e^{ik(k - sigma)t_end}, or the two-mode phase fit; no fields otherwise."""
+    if form == "psi_k":
+        a_k = tracked[-1][2]
+        expected = np.exp(1j * k * (k - sigma) * t_end)
+        return {"phase_deviation": abs(a_k - expected), "modulus_deviation": abs(abs(a_k) - 1.0)}
+    if form == "two_mode":
+        return {"two_mode": two_mode_phase_fit(*zip(*tracked), k).to_record()}
+    return {}

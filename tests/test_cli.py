@@ -11,7 +11,7 @@ import pytest
 
 from filament.cli import _Writer, _scheme_name, _snapshot_name, build_parser, main, OUT_DIR_ENV
 from filament.integrator import _MAX_STEPS, StepFailure, StepperConfig, simulate
-from filament.invariants import mass, momentum
+from filament.invariants import invariant_report, mass, momentum
 from filament.nonlinearity import _TOEPLITZ_MAX_N
 from filament.spectral import seeded_state, state_to_dict, write_snapshot
 
@@ -532,6 +532,49 @@ def test_invariants_report(tmp_path):
     assert rec["momentum"] == pytest.approx(2.0 * np.pi, rel=1e-12)
     assert rec["mass"] == pytest.approx(np.pi, rel=1e-12)
     assert rec["H1"] == pytest.approx(2.0 * np.sqrt(2.0 * np.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_modes", [16, 130])  # the Toeplitz and the grid kernel
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_invariants_record_is_the_library_report(tmp_path, sigma, n_modes):
+    # P, M, a_1, the Lambda-form energy and the H^s norms are invariant_report's, bit for bit
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--sigma", str(sigma), "--n-modes", str(n_modes), "--seed", "4",
+                 "--hs", "0.5", "1", "2.5", "--out", str(out)]) == 0
+    rec = by_kind(read_records(out), "invariants")[0]
+    report = invariant_report(seeded_state(sigma, n_modes, 4), (0.5, 1.0, 2.5))
+    assert list(rec) == ["record", "energy_spectral", "energy_lambda_form", "energy_quadrature",
+                         "momentum", "mass", "a1_re", "a1_im", "pairing_defect",
+                         "H0.5", "H1", "H2.5"]
+    assert rec["energy_lambda_form"] == report.energy
+    assert (rec["momentum"], rec["mass"]) == (report.momentum, report.mass)
+    assert complex(rec["a1_re"], rec["a1_im"]) == report.a1
+    assert {name: rec[name] for name in report.h_s_norms} == report.h_s_norms
+
+
+def _raise_memory_error(*args, **kwargs):
+    # numpy raises a MemoryError subclass when an allocation is refused
+    raise MemoryError("Unable to allocate 14.6 TiB for an array with shape (1000000000000,)")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--t-end", "1e-3"], ["invariants"]])
+@pytest.mark.parametrize("target, records", [("seeded_state", []),  # before the header
+                                             ("invariant_report", ["header", "error"])])
+def test_memory_error_is_a_validation_record(tmp_path, capsys, monkeypatch, argv,
+                                             target, records):
+    # numpy refusing an oversized --n-modes is bad input: one JSON record, no traceback
+    from filament import cli
+
+    monkeypatch.setattr(cli, target, _raise_memory_error)
+    out = tmp_path / "run.jsonl"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = _stderr_error(capsys)
+    assert err == {"record": "error", "error_type": "validation",
+                   "message": "Unable to allocate 14.6 TiB for an array with shape (1000000000000,)"}
+    assert out.exists() == bool(records)
+    stream = read_records(out) if records else []
+    assert [r["record"] for r in stream] == records
+    assert stream[-1:] in ([], [err])
 
 
 def test_selftest(tmp_path):

@@ -133,7 +133,7 @@ def test_simulate_rejects_exponents_sharing_a_field_before_any_step(monkeypatch)
     def no_step(*args, **kwargs):
         raise AssertionError("stepped before rejecting h_s")
 
-    monkeypatch.setattr(integrator, "_advance", no_step)
+    monkeypatch.setattr(integrator.StepMemory, "_bind", no_step)
     cfg = StepperConfig("rk4", 1e-3, 2e-3, 1)
     with pytest.raises(ValueError, match="share the record field") as info:
         simulate(seeded_state(0, 8, 1), cfg, h_s=(0.5, 0.5000001))
@@ -337,9 +337,9 @@ def test_memory_rebinds_to_another_problem():
 
 
 def test_memory_keeps_its_slopes_under_an_equal_config():
-    # the memory skips its problem comparison when it sees the config object
-    # of its last step; an equal problem under another config object (another
-    # t_end) must still keep the slopes (test_memory_rebinds_to_another_problem
+    # the memory compares problems by (N, sigma, scheme, dt), not by config
+    # object; an equal problem under another config object (another t_end)
+    # must keep the slopes (test_memory_rebinds_to_another_problem
     # changes N and sigma under the same object)
     dt = 1e-4
     cfg = StepperConfig(scheme="implicit_midpoint", dt=dt, t_end=1e-3)
