@@ -64,7 +64,7 @@ from .waves import (
 )
 from .minimizer import (
     _check_targets,
-    _start_power,
+    _check_start,
     ConstraintTarget,
     MinimizeOptions,
     ProjectionError,
@@ -123,11 +123,9 @@ class _Writer:
     def __init__(self, out_path, subcommand: str):
         self._subcommand = subcommand
         self._started = False
-        if out_path is None:
-            env_dir = os.environ.get(OUT_DIR_ENV)
-            if env_dir:
-                os.makedirs(env_dir, exist_ok=True)
-                out_path = os.path.join(env_dir, f"{subcommand}.jsonl")
+        self._env_dir = os.environ.get(OUT_DIR_ENV) if out_path is None else None
+        if self._env_dir:
+            out_path = os.path.join(self._env_dir, f"{subcommand}.jsonl")
         self.path = out_path
         self._fh = sys.stdout if out_path is None else None  # opened by the header
 
@@ -146,6 +144,8 @@ class _Writer:
 
     def emit(self, record: dict) -> None:
         if self._fh is None:
+            if self._env_dir:  # made with the file, so a run rejected before its header leaves none
+                os.makedirs(self._env_dir, exist_ok=True)
             self._fh = open(self.path, "w", encoding="utf-8")
         try:
             line = json.dumps(record, allow_nan=False)
@@ -425,7 +425,7 @@ def cmd_minimize(args, writer) -> int:
     n_modes = args.n_modes if init is None else init.n_modes  # a snapshot brings its own N
     _check_targets(args.sigma, n_modes, target)
     if init is not None:
-        _start_power(init.coeffs)
+        _check_start(init.coeffs, target)
     writer.header({
         "sigma": args.sigma, "n_modes": n_modes, "init": args.init,
         "mass_target": args.mass_target, "momentum_target": args.momentum_target,

@@ -45,7 +45,7 @@ the new coefficients or raises ``StepFailure``, under its caller's
 of zeros with its floats, as 0 x is 0 for finite x and nan otherwise.
 Both simulate loops, ``simulate`` here and the CLI's, bind their memory once
 per run and step each sample interval as one block of step-function calls
-under one ``np.errstate``, adopting one state per sample; the public ``step``
+under one ``np.errstate``, building one state per sample; the public ``step``
 binds and enters its errstate on every call, for callers that step alone.
 
 Diagnostics along a trajectory take the energy from the Lambda form on the
@@ -307,7 +307,7 @@ def _samples(state, config, memory, seam=None):
     """Yield (i, state after step i) at i = 0, every ``sample_every`` steps and
     at the last step.  ``memory`` binds the run's step function once, and each
     sample interval is one block of its calls, step j from t = j dt, under one
-    ``np.errstate``, with one state adopted at its end.  Given
+    ``np.errstate``, with one state built at its end.  Given
     ``seam(advance, a, t)``, the block makes each call through it."""
     yield 0, state
     advance = memory._bind(state.n_modes, state.sigma, config)
@@ -320,7 +320,7 @@ def _samples(state, config, memory, seam=None):
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(i, end):
                 a = call(a, j * dt)
-        yield end, SpectralState._adopt(state.sigma, a)  # a is the last step's own array
+        yield end, SpectralState(state.sigma, a)
 
 
 def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
@@ -336,7 +336,7 @@ def step(state: SpectralState, config: StepperConfig, t: float = 0.0,
     # an overflowing step is caught by the step's finiteness test, not by warnings
     with np.errstate(over="ignore", invalid="ignore"):
         out = advance(state.coeffs, t)
-    return SpectralState._adopt(state.sigma, out)  # out is the step's own array
+    return SpectralState(state.sigma, out)
 
 
 def simulate(state: SpectralState, config: StepperConfig, h_s: tuple = ()) -> Trajectory:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralState, p_norm, seeded_state
+from .spectral import SpectralState, p_norm, seeded_state, state_to_dict
 from .nonlinearity import _c_sigma_trunc_raw
 from .invariants import energy_spectral, momentum, mass
 
@@ -128,20 +128,36 @@ def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarr
     return out
 
 
-def _start_power(a: np.ndarray) -> float:
-    """sum |a_k|^2 of a projection start, or ValueError for the zero state,
-    which no scaling maps onto the constraint set; the CLI checks
-    ``minimize --init`` with it before the header."""
-    total = float((np.abs(a) ** 2).sum())
-    if total == 0.0:
+def _check_start(a: np.ndarray, target: ConstraintTarget) -> None:
+    """ValueError for a start from which the projection cannot reach a validated target.
+
+    The projection reweights a_k, so it keeps the set S of occupied modes,
+    and M/P is a weighted mean of 1/k over S.  Away from the boundary ratios,
+    which go onto one mode directly, M*/P* must lie strictly between
+    1/max S and 1/min S, or equal 1/k when S = {k}; the zero state is the
+    empty S.  The CLI checks ``minimize --init`` with it before the header.
+    """
+    occupied = np.flatnonzero(a) + 1
+    if not occupied.size:
         raise ValueError("cannot project the zero state onto a positive-size constraint set")
-    return total
+    m_star, p_star = target.mass_target, target.momentum_target
+    if min(abs(m_star - p_star), abs(m_star - p_star / a.size)) <= _BOUNDARY_RTOL * p_star:
+        return
+    low, high = p_star / occupied[-1], p_star / occupied[0]  # M on S at P = P*
+    if low == high:
+        if abs(m_star - low) > _BOUNDARY_RTOL * p_star:
+            raise ValueError(f"mass target {m_star} is out of reach from a start on mode {occupied[0]} "
+                             f"alone: the projection keeps the occupied modes, so it needs mass {low}")
+    elif not low * (1.0 + _BOUNDARY_RTOL) < m_star < high * (1.0 - _BOUNDARY_RTOL):
+        raise ValueError(f"mass target {m_star} is out of reach from a start on modes {occupied[0]} to "
+                         f"{occupied[-1]}: the projection keeps the occupied modes, so it needs "
+                         f"{low} < mass < {high}")
 
 
 def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
     """``project_to_constraints`` on raw coefficients, for a validated target."""
     n = a.size
-    total = _start_power(a)
+    total = float((np.abs(a) ** 2).sum())
     m_star, p_star = target.mass_target, target.momentum_target
     # the projection is scale-equivariant: start from a at P = P*, so that the
     # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale
@@ -204,6 +220,7 @@ def project_to_constraints(state: SpectralState, target: ConstraintTarget) -> Sp
     solves the metric-projection stationarity conditions.
     """
     target.validate_for(state.n_modes)
+    _check_start(state.coeffs, target)
     return state.with_coeffs(_project_raw(np.array(state.coeffs), target))
 
 
@@ -278,8 +295,6 @@ class MinimizerResult:
     energy_history: tuple = ()  # energies at accepted iterates, non-increasing
 
     def to_record(self) -> dict:
-        from .spectral import state_to_dict
-
         return {
             "energy": self.energy,
             "lambda": self.lam,
@@ -303,8 +318,6 @@ def _energy_and_gradient(a: np.ndarray, sigma: int):
 def _gauge_fix(a: np.ndarray) -> np.ndarray:
     mags = np.abs(a)
     occupied = np.nonzero(mags > 1e-12 * max(float(mags.max()), 1e-300))[0]
-    if occupied.size == 0:
-        return a
     pivot = a[occupied[0]]
     return a * np.exp(-1j * np.angle(pivot))
 
@@ -322,17 +335,14 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
     p_star = target.momentum_target
     step0, max_step = _STEP0 * (_TWO_PI / p_star), _MAX_STEP * (_TWO_PI / p_star)
     step = step0
-    converged = False
     stall = 0
     for iterations in range(1, opts.max_iter + 1):
         grad = 8.0 * cubic
         _, _, misfit, _ = _fit_multipliers(a, cubic)
         grad_norm = p_norm(_TWO_PI * misfit)  # |8C - 2pi(lam a/k + mu a)|_P
         if grad_norm <= opts.grad_tol:
-            converged = True
             break
         slope = float(np.sum(np.abs(misfit) ** 2))
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _project_raw(a - step * grad, target)
@@ -344,10 +354,9 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
                 a, energy, cubic = trial, e_trial, c_trial
                 history.append(energy)
                 step = min(step * _GROW, max_step)
-                accepted = True
                 break
             step *= _BACKTRACK
-        if not accepted:
+        else:
             # no descent direction left at rounding scale: treat as stationary
             stall += 1
             step = step0
@@ -365,7 +374,7 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
         energy=energy_spectral(state),
         iterations=iterations,
         grad_norm=grad_norm,
-        converged=bool(converged or grad_norm <= max(opts.grad_tol, 1e3 * np.finfo(float).eps * (1.0 + abs(energy)))),
+        converged=bool(grad_norm <= max(opts.grad_tol, 1e3 * np.finfo(float).eps * (1.0 + abs(energy)))),
         seed=seed,
         energy_history=tuple(history),
     )
@@ -389,6 +398,7 @@ def minimize_energy(
     if init is not None:
         if init.n_modes != n_modes:
             raise ValueError(f"init has {init.n_modes} modes, expected {n_modes}")
+        _check_start(init.coeffs, target)
         return _descend(np.array(init.coeffs), sigma, target, opts, seed=None)
     best = None
     for i in range(opts.n_starts):

@@ -293,7 +293,7 @@ def test_simulate_momentum_overflow_stays_step_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("init, code", [("psi_k:abc", 1), ("file:/nonexistent/snapshot.json", 3),
                                         ("zero", 1), ("psi_k:", 1), ("two_mode:x:1:2", 1),
-                                        ("two_mode:1:1:y", 1)])
+                                        ("two_mode:1:1:y", 1), ("psi_k:3", 1)])
 def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
     out = tmp_path / "min.jsonl"
     assert main(["minimize", "--mass-target", "1", "--momentum-target", "2", "--n-modes", "4",
@@ -304,7 +304,9 @@ def test_minimize_bad_init_fails_before_header(tmp_path, capsys, init, code):
     # a malformed form is named with its grammar, not with Python's parse error
     # ("invalid literal for int()", "complex() arg is a malformed string")
     grammar = {"psi_k": "psi_k:<k>", "two_mode": "two_mode:<A>:<B>:<k>"}.get(init.split(":")[0])
-    if grammar:
+    if init == "psi_k:3":  # well formed, but mode 3 alone only reaches M/P = 1/3, not 1/2
+        assert err["error_type"] == "validation" and "out of reach" in err["message"]
+    elif grammar:
         assert grammar in err["message"] and repr(init) in err["message"]
 
 
@@ -354,6 +356,18 @@ def test_minimize_large_targets_that_fit_still_run(tmp_path, sigma, mass, moment
                  "--momentum-target", momentum, "--max-iter", "5", "--n-starts", "1",
                  "--out", str(out)]) == 0
     assert by_kind(read_records(out), "minimizer")[0]["converged"] in (True, False)
+
+
+@pytest.mark.parametrize("subcommand", ["simulate", "invariants"])
+def test_snapshot_of_another_sigma_is_rejected(tmp_path, capsys, subcommand):
+    snap = tmp_path / "sigma1.json"
+    write_snapshot(seeded_state(1, 4, 0), snap)
+    out = tmp_path / "run.jsonl"
+    assert main([subcommand, "--sigma", "0", "--init", f"file:{snap}", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation"
+    assert "snapshot has sigma=1 but the run requests sigma=0" in err["message"]
 
 
 def test_emit_refuses_non_finite_values(tmp_path):
@@ -588,6 +602,10 @@ def test_env_var_output_directory(tmp_path, monkeypatch):
     assert main(["selftest"]) == 0
     records = read_records(tmp_path / "outdir" / "selftest.jsonl")
     assert records[0]["record"] == "header"
+    # a run rejected before its header makes no directory
+    monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path / "rejected"))
+    assert main(["invariants", "--n-modes", "8", "--n-quad", "10"]) == 1
+    assert not (tmp_path / "rejected").exists()
 
 
 def _modules_loaded_by_import(prefix):
@@ -761,6 +779,7 @@ def test_readme_command_block_parses():
 @pytest.mark.parametrize("argv", [
     ["simulate", "--n-modes", "4", "--dt", "1e-300", "--t-end", "1"],  # 1e300 steps
     ["simulate", "--dt", "0.3", "--t-end", "1"],  # not an integer number of steps
+    ["simulate", "--t-end", "0"],  # t_end must be positive
 ])
 def test_malformed_step_grid_rejected_before_header(capsys, monkeypatch, argv):
     from filament import cli

@@ -45,6 +45,14 @@ def test_projection_equality_case_forces_mode_one():
     assert np.angle(proj.coeffs[0]) == pytest.approx(0.4, abs=1e-13)
 
 
+def test_projection_lower_boundary_forces_mode_n():
+    st = SpectralState(1, [0.5, 0.0, 2.0 * np.exp(-1.1j)])
+    proj = project_to_constraints(st, ConstraintTarget(mass_target=TWO_PI / 3, momentum_target=TWO_PI))
+    assert np.allclose(np.abs(proj.coeffs), [0.0, 0.0, 1.0], atol=1e-13)
+    # phase of the pivot coefficient is preserved
+    assert np.angle(proj.coeffs[2]) == pytest.approx(-1.1, abs=1e-13)
+
+
 def test_projection_two_coefficient_target():
     st = SpectralState(0, [1.0, 1.0])
     target = ConstraintTarget(mass_target=1.5 * np.pi, momentum_target=TWO_PI)
@@ -78,6 +86,27 @@ def test_projection_rejects_zero_state():
     zero = SpectralState(0, np.zeros(4))
     with pytest.raises(ValueError):
         project_to_constraints(zero, ConstraintTarget(mass_target=1.0, momentum_target=1.5))
+
+
+def test_start_that_cannot_reach_the_target_is_rejected():
+    # the projection keeps the occupied modes S, and M/P is a mean of 1/k over S
+    half = ConstraintTarget(mass_target=np.pi, momentum_target=TWO_PI)  # M/P = 1/2
+    for start in (make_psi_k(3, 0, 4),  # S = {3}: M/P = 1/3 only
+                  SpectralState(0, [0.0, 0.0, 1.0, 1.0])):  # S = {3, 4}: 1/4 < M/P < 1/3
+        with pytest.raises(ValueError, match="out of reach"):
+            project_to_constraints(start, half)
+        with pytest.raises(ValueError, match="out of reach"):
+            minimize_energy(0, 4, half, init=start, opts=MinimizeOptions(max_iter=1))
+    with pytest.raises(ValueError, match="out of reach"):  # S = {1, 3} needs 1/3 < M/P < 1
+        project_to_constraints(SpectralState(1, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0]),
+                               ConstraintTarget(mass_target=1.9, momentum_target=TWO_PI))
+    # reachable: M/P = 1/k on S = {k}, strictly inside the span of S, and the
+    # boundary ratios, which put all weight on mode 1 or mode N from any start
+    for start, m_star in ((make_psi_k(2, 0, 4), np.pi), (SpectralState(0, [1.0, 0.0, 1.0, 0.0]), 3.0),
+                          (make_psi_k(3, 0, 4), TWO_PI), (make_psi_k(2, 0, 4), TWO_PI / 4)):
+        proj = project_to_constraints(start, ConstraintTarget(mass_target=m_star, momentum_target=TWO_PI))
+        assert abs(mass(proj) - m_star) / m_star <= 1e-12
+        assert abs(momentum(proj) - TWO_PI) / TWO_PI <= 1e-12
 
 
 def test_multiplier_extraction_single_modes():

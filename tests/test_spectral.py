@@ -217,3 +217,13 @@ def test_snapshot_write_is_atomic(tmp_path, monkeypatch):
         write_snapshot(st, path)
     assert read_snapshot(path).coeffs.tobytes() == st.coeffs.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_snapshot_write_failure_removes_its_temporary(tmp_path):
+    # os.replace fails after the temporary is written: the target is a directory
+    path = tmp_path / "snapshot-00000001.json"
+    path.mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_snapshot(seeded_state(0, 2, 0), path)
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    assert not any(path.iterdir())

@@ -6,7 +6,8 @@ and the stepping loop's cost per step, as one JSON document.
 Each pair runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` of the parent checkout and of this one, one after the other,
 with the side that runs first alternating from pair to pair, and keeps
-each run's final JSON line.  Per workload and bounded metric, the summary
+each run's final JSON line and its unbounded metrics, such as
+``sample_p50_ms``.  At least two pairs are needed.  Per workload and bounded metric, the summary
 gives each side's median, the parent's interquartile range and the number
 of pairs the change won (a lower value).  One ``--trace 1`` run per side
 and workload follows.  perfbench runs as it stands in each checkout, so
@@ -15,10 +16,10 @@ both sides measure with the same harness when its files are equal.
 The layer numbers come last, in this process, from this checkout's
 package: interleaved warmed rounds of a sample interval, stepped once
 through the public ``step()`` (bind and ``np.errstate`` on every call, one
-state per step) and once as a block (the bound step function called under
-one ``np.errstate``, one state adopted at the end), as microseconds per
-step at their 5th and 50th percentiles.  They load numpy only after every
-child run has ended, so this process stays small while perfbench forks.
+state per step) and once as a block (``integrator._samples``, the loop that
+``simulate`` runs, over one interval), as microseconds per step at their
+5th and 50th percentiles.  They load numpy only after every child run has
+ended, so this process stays small while perfbench forks.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ LAYER_CASES = (
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """perfbench's final JSON line, with its exit code and run time."""
+    """perfbench's final JSON line and its table rows marked "(no bound)",
+    with its exit code and run time."""
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
@@ -50,9 +52,11 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) 
         capture_output=True, text=True, cwd=root)
     lines = proc.stdout.strip().splitlines()
     env = [json.loads(line[len("# env "):]) for line in lines if line.startswith("# env ")]
+    unbounded = [line.split() for line in lines if line.endswith("  (no bound)")]
     return {"exit": proc.returncode, "run_s": round(time.perf_counter() - start, 1),
             "environment": env[0] if env else None,
-            "result": json.loads(lines[-1]) if lines else None}
+            "result": json.loads(lines[-1]) if lines else None,
+            "unbounded": {words[1]: float(words[2]) for words in unbounded}}
 
 
 def _iqr(values):
@@ -83,17 +87,15 @@ def layer_timings() -> dict:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     import filament as fil
-    from filament.integrator import StepMemory, step
-    from filament.spectral import SpectralState
+    from filament.integrator import StepMemory, _samples, step
 
     out = {}
     for label, sigma, n, amplitude, scheme, dt, k, rounds in LAYER_CASES:
-        config = fil.StepperConfig(scheme, dt, 1.0, k)
+        config = fil.StepperConfig(scheme, dt, k * dt, k)  # one sample interval
         start = fil.seeded_state(sigma, n, 7, amplitude=amplitude)
         # each path continues its own trajectory, so midpoint solves keep their history
         public = {"memory": StepMemory(), "state": start, "j": 0}
-        block = {"memory": StepMemory(), "state": start, "j": 0}
-        advance = block["memory"]._bind(n, sigma, config)
+        block = {"memory": StepMemory(), "state": start}
 
         def by_step():
             memory, current, j0 = public["memory"], public["state"], public["j"]
@@ -105,14 +107,10 @@ def layer_timings() -> dict:
             return elapsed
 
         def by_block():
-            a, j0 = block["state"].coeffs, block["j"]
             t0 = time.perf_counter()
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(j0, j0 + k):
-                    a = advance(a, j * dt)
-            current = SpectralState._adopt(sigma, a)
+            *_, (_, current) = _samples(block["state"], config, block["memory"])
             elapsed = time.perf_counter() - t0
-            block.update(state=current, j=j0 + k)
+            block["state"] = current
             return elapsed
 
         for _ in range(3):  # warm-up
@@ -128,11 +126,19 @@ def layer_timings() -> dict:
     return out
 
 
+def _pair_count(text: str) -> int:
+    """Type of ``--pairs``: ``summarize`` takes quartiles, which need two pairs."""
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"at least 2 pairs are needed, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True,
                         help="a checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=_pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace-seconds", type=float, default=15.0)
     parser.add_argument("--seed", type=int, default=2701, help="seed of the first pair")
