@@ -113,19 +113,18 @@ class StepperConfig:
             raise ValueError("dt must be positive")
         if not self.t_end > 0.0:
             raise ValueError("t_end must be positive")
-        if self.dt > self.t_end * (1.0 + 1e-12):
-            raise ValueError("dt must not exceed t_end")
         if self.sample_every < 1:
             raise ValueError("sample_every must be a positive integer")
         self.n_steps()
 
     def n_steps(self) -> int:
-        """ValueError unless t_end is a whole number of steps of dt, at most _MAX_STEPS."""
+        """ValueError unless t_end is a whole number n >= 1 of steps of dt, to 1e-9
+        of t_end, and n is at most _MAX_STEPS."""
         ratio = self.t_end / self.dt
         if not ratio <= _MAX_STEPS:
             raise ValueError(f"t_end / dt = {ratio:g} steps exceeds the limit of {_MAX_STEPS}")
         steps = int(round(ratio))
-        if abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+        if abs(steps * self.dt - self.t_end) > 1e-9 * self.t_end:
             raise ValueError(
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"
             )

@@ -10,12 +10,13 @@ gradient of the energy with respect to conj(a_p) is 8 C_p, and because P
 and M are diagonal quadratic forms the metric projection onto the
 constraint set takes the closed form b_k = a_k / (1 + alpha + beta/k),
 with the two scalars pinned by a 2-d Newton iteration on the constraint
-equations.  The step length comes from an Armijo backtracking line search
-set by the module constants ``_STEP0`` (first step), ``_MAX_STEP`` (largest
-step), ``_ARMIJO`` (sufficient decrease), ``_BACKTRACK`` (shrink factor, at
-most ``_MAX_BACKTRACKS`` times) and ``_GROW`` (growth after an accepted
-step).  The gradient is cubic in a, so a useful step scales like 1/P:
-``_STEP0`` and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P*.  A
+equations over the occupied modes of a, since b_k is 0 off them.  The step
+length comes from an Armijo backtracking line search set by the module
+constants ``_STEP0`` (first step), ``_MAX_STEP`` (largest step),
+``_ARMIJO`` (sufficient decrease), ``_BACKTRACK`` (shrink factor, at most
+``_MAX_BACKTRACKS`` times) and ``_GROW`` (growth after an accepted step).
+The gradient is cubic in a, so a useful step scales like 1/P: ``_STEP0``
+and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P*.  A
 first-order point satisfies the stationarity condition
 
     (4/pi) C_p = lambda a_p / p + mu a_p,
@@ -24,10 +25,9 @@ whose real multiplier pair (lambda, mu) is extracted by least squares;
 the relative misfit of that fit is the reported stationarity residual.
 
 Feasibility on the truncation requires P*/N <= M* <= P* (the mass/momentum
-ratio of a mode-k wave is 1/k).  At the two boundary ratios the constraint
-set collapses to a single-mode circle and the rational projection form has
-no finite parameters, so those cases are projected directly onto the
-corresponding mode.
+ratio of a mode-k wave is 1/k).  At the two boundary ratios, and from an a
+on one mode, the reachable set is a single-mode circle 2 pi |a_k|^2 = P*, and
+the projection is its nearest point, ``spectral._mode_circle_point``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralState, p_norm, seeded_state, state_to_dict
+from .spectral import SpectralState, _mode_circle_point, p_norm, seeded_state, state_to_dict
 from .nonlinearity import _c_sigma_trunc_raw
 from .invariants import energy_spectral, momentum, mass
 
@@ -119,15 +119,6 @@ def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
         )
 
 
-def _single_mode_projection(a: np.ndarray, mode: int, p_star: float) -> np.ndarray:
-    out = np.zeros_like(a)
-    amp = np.sqrt(p_star / _TWO_PI)
-    pivot = a[mode - 1]
-    phase = pivot / abs(pivot) if abs(pivot) > 0.0 else 1.0
-    out[mode - 1] = amp * phase
-    return out
-
-
 def _check_start(a: np.ndarray, target: ConstraintTarget) -> None:
     """ValueError for a start from which the projection cannot reach a validated target.
 
@@ -163,14 +154,18 @@ def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
     # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale
     a = a * np.sqrt(p_star / (_TWO_PI * total))
 
-    # boundary ratios force all weight onto a single mode
+    # boundary ratios force all weight onto a single mode, as does a start on one mode
+    radius = np.sqrt(p_star / _TWO_PI)
     if abs(m_star - p_star) <= _BOUNDARY_RTOL * p_star:
-        return _single_mode_projection(a, 1, p_star)
+        return _mode_circle_point(a, 1, radius)
     if abs(m_star - p_star / n) <= _BOUNDARY_RTOL * p_star:
-        return _single_mode_projection(a, n, p_star)
+        return _mode_circle_point(a, n, radius)
+    occupied = np.flatnonzero(a)  # b_k is 0 off the occupied modes whatever alpha and beta
+    if occupied.size == 1:
+        return _mode_circle_point(a, occupied[0] + 1, radius)
 
-    k = np.arange(1, n + 1, dtype=float)
-    power = np.abs(a) ** 2
+    k = occupied + 1.0
+    power = np.abs(a[occupied]) ** 2
     p_goal = p_star / _TWO_PI
     m_goal = m_star / _TWO_PI
 
@@ -210,7 +205,8 @@ def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
             raise ProjectionError("projection line search stalled", res)
     else:
         raise ProjectionError("projection Newton iteration did not converge", res)
-    return a / denom
+    a[occupied] /= denom
+    return a
 
 
 def project_to_constraints(state: SpectralState, target: ConstraintTarget) -> SpectralState:

@@ -115,6 +115,15 @@ def p_norm(coeffs: np.ndarray) -> float:
     return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(coeffs) ** 2)))
 
 
+def _mode_circle_point(a: np.ndarray, k: int, radius: float) -> np.ndarray:
+    """Nearest point to ``a`` of the circle {c e^{ikx} : |c| = radius}, in any
+    norm diagonal in the modes: c = radius a_k/|a_k| (c = radius if a_k = 0)."""
+    out = np.zeros_like(a)
+    pivot = a[k - 1]
+    out[k - 1] = radius * (pivot / abs(pivot) if abs(pivot) > 0.0 else 1.0)
+    return out
+
+
 def seeded_state(
     sigma: int,
     n_modes: int,

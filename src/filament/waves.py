@@ -13,7 +13,8 @@ carries the weight min(.., 1) - 1 = 0, which leaves the mode-k phase
 drifting at k(k-1)|B|^2.
 
 Both families check the runs that start on them: ``_closed_form_checks``
-turns such a run's sampled (t, a_1, a_k) into its summary fields.
+turns such a run's sampled (t, a_1, a_k) into its summary fields, and
+``orbit_distance`` measures a state's distance to a single mode's orbit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spectral import SpectralState, p_norm, seeded_state
+from .spectral import SpectralState, _mode_circle_point, p_norm, seeded_state
 from .nonlinearity import c_sigma_fast
 from .invariants import energy_spectral, momentum, mass
 from .integrator import StepperConfig, simulate, rhs
@@ -43,8 +44,6 @@ __all__ = [
 ]
 
 _STATIONARY_TOL = 1e-10  # stationary_scan: largest off-catalogue amplitude
-_SHIFT_GRID = 1024  # orbit_distance: shift nodes scanned before refinement
-_REFINE_ITERS = 40  # orbit_distance: golden-section refinement steps
 
 
 @dataclass(frozen=True)
@@ -130,43 +129,16 @@ def stationary_scan(state: SpectralState) -> StationaryScan:
 
 
 def orbit_distance(state: SpectralState, reference: SpectralState) -> float:
-    """P-distance from ``state`` to the symmetry orbit of ``reference``.
-
-    The orbit is {e^{i theta} reference(. + x0)}.  For fixed x0 the optimal
-    phase aligns the P-inner product, so the squared distance is
-    P(u) + P(r) - 2|<u, r_x0>|; the shift is scanned on a grid and then
-    refined by golden-section search around the best node.
-    """
-    a = state.coeffs
-    r = reference.coeffs
-    n = min(a.size, r.size)
-    prod = a[:n] * np.conj(r[:n])
-    modes = np.arange(1, n + 1)
-
-    def overlap(x0):
-        return np.abs(np.sum(prod * np.exp(-1j * modes * x0)))
-
-    grid = np.arange(_SHIFT_GRID) * (2.0 * np.pi / _SHIFT_GRID)
-    vals = np.abs(np.exp(-1j * np.outer(grid, modes)) @ prod)
-    best = int(np.argmax(vals))
-    lo = grid[best] - 2.0 * np.pi / _SHIFT_GRID
-    hi = grid[best] + 2.0 * np.pi / _SHIFT_GRID
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = overlap(x1), overlap(x2)
-    for _ in range(_REFINE_ITERS):
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = overlap(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = overlap(x1)
-    best_overlap = max(vals[best], f1, f2)
-    dist_sq = momentum(state) + momentum(reference) - 2.0 * (2.0 * np.pi) * float(best_overlap)
-    return float(np.sqrt(max(dist_sq, 0.0)))
+    """P-distance from ``state`` to the orbit {e^{i theta} r(. + x0)} of r = r_k e^{ikx}:
+    the circle {c e^{ikx} : |c| = |r_k|}, whose nearest point gives the closed form
+    sqrt(2 pi (sum_{j != k} |a_j|^2 + (|a_k| - |r_k|)^2)).  ValueError for a
+    reference with other than one occupied mode, or on another number of modes."""
+    occupied = np.flatnonzero(reference.coeffs)
+    if occupied.size != 1 or reference.n_modes != state.n_modes:
+        raise ValueError(f"orbit_distance needs a single-mode reference on the state's {state.n_modes} "
+                         f"modes, got {occupied.size} occupied of {reference.n_modes}")
+    k = occupied[0] + 1
+    return p_norm(state.coeffs - _mode_circle_point(state.coeffs, k, abs(reference.coeffs[k - 1])))
 
 
 @dataclass(frozen=True)

@@ -330,6 +330,20 @@ def test_minimize_projection_stall_target_runs(tmp_path):
     assert max(rec["constraint_violation"]) <= 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    # S = {2}: M* within the boundary tolerance of P*/2 gave a singular Jacobian
+    ["--n-modes", "8", "--init", "psi_k:2", "--mass-target", "3.141592653594793"],
+    # S = {1, 3}: the line search wanted positive denominators on modes off S too
+    ["--sigma", "1", "--n-modes", "8", "--init", "two_mode:1:1:3", "--mass-target", "2.2"],
+])
+def test_minimize_starts_the_check_admits_run(tmp_path, argv):
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", *argv, "--momentum-target", "6.283185307179586",
+                 "--out", str(out)]) == 0
+    rec = by_kind(read_records(out), "minimizer")[0]
+    assert rec["converged"] and max(rec["constraint_violation"]) <= 1e-11
+
+
 @pytest.mark.parametrize("p_star", ["1e8", "1e20", "1e100", "1e102", "1e104", "1e110"])
 @pytest.mark.parametrize("sigma", [0, 1])
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -424,6 +438,7 @@ def test_stream_ends_with_error_record_after_header(tmp_path, capsys):
 @pytest.mark.parametrize("record", [
     {"sigma": 0, "n_modes": True, "coeffs": [[1.0, 0.0]]},
     {"sigma": 0, "n_modes": 1, "coeffs": [[float("nan"), 0.0]]},
+    {"sigma": 0, "coeffs": [[1.0, 0.0]]},  # no n_modes
 ])
 def test_invariants_rejects_bad_snapshot(tmp_path, capsys, record):
     path = tmp_path / "bad.json"
@@ -434,6 +449,16 @@ def test_invariants_rejects_bad_snapshot(tmp_path, capsys, record):
     assert err["error_type"] == "validation"
 
 
+def test_truncated_snapshot_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "cut.json"
+    path.write_text('{"sigma": 0,')
+    out = tmp_path / "inv.jsonl"
+    assert main(["invariants", "--init", f"file:{path}", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "not valid JSON" in err["message"]
+
+
 def test_deeply_nested_snapshot_is_a_validation_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 200_000 + "]" * 200_000)  # beyond json.dumps, and the decoder's recursion
@@ -442,6 +467,13 @@ def test_deeply_nested_snapshot_is_a_validation_error(tmp_path, capsys):
     assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and "nested" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+def test_help_exits_ok(capsys, argv):
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: filament") and captured.err == ""
 
 
 def test_bad_flags_exit_validation():
@@ -690,6 +722,9 @@ def test_parse_errors_are_json(capsys, argv):
     (["verify", "--seed", "-1"], "--seed"),
     (["invariants", "--n-quad", "0"], "--n-quad"),
     (["minimize", "--mass-target", "1", "--momentum-target", "2", "--seed", "-1"], "--seed"),
+    (["simulate", "--n-modes", "2.5"], "--n-modes"),  # not integers at all
+    (["simulate", "--sample-every", "1e3"], "--sample-every"),
+    (["invariants", "--seed", "x"], "--seed"),
 ])
 def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag):
     out = tmp_path / "run.jsonl"
@@ -780,6 +815,8 @@ def test_readme_command_block_parses():
     ["simulate", "--n-modes", "4", "--dt", "1e-300", "--t-end", "1"],  # 1e300 steps
     ["simulate", "--dt", "0.3", "--t-end", "1"],  # not an integer number of steps
     ["simulate", "--t-end", "0"],  # t_end must be positive
+    # 2 steps end at 8e-10: the grid is checked to 1e-9 of t_end, not to 1e-9
+    ["simulate", "--n-modes", "4", "--t-end", "1e-9", "--dt", "4e-10", "--sample-every", "1"],
 ])
 def test_malformed_step_grid_rejected_before_header(capsys, monkeypatch, argv):
     from filament import cli

@@ -212,7 +212,8 @@ def test_midpoint_non_convergence_reports_diagnostics():
 
 
 def test_midpoint_non_convergence_with_memory_reports_diagnostics():
-    # the same failure after a few converged steps, so the solve starts from the predictor
+    # the same failure after a few converged steps; dt = 50 is another problem, so
+    # the memory rebinds and drops its slopes, and the solve starts from the state
     st = seeded_state(0, 8, 0, amplitude=2.0)
     memory = StepMemory()
     small = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-4)
@@ -225,6 +226,22 @@ def test_midpoint_non_convergence_with_memory_reports_diagnostics():
     assert 1 <= info.value.iterations <= 5
     assert info.value.residual > 0.0 or not np.isfinite(info.value.residual)
     assert info.value.t == 0.0
+
+
+def test_midpoint_non_convergence_from_the_predictor_reports_diagnostics():
+    # the failing solve starts from the extrapolation of 3 held slopes: same dt, so
+    # the memory keeps them, and the state scaled by 100 makes the iteration diverge
+    st = seeded_state(0, 8, 0, amplitude=2.0)
+    memory = StepMemory()
+    cfg = StepperConfig(scheme="implicit_midpoint", dt=1e-4, t_end=1e-4)
+    for i in range(3):
+        st = step(st, cfg, i * 1e-4, memory)
+    assert len(memory.slopes) == 3
+    with pytest.raises(StepFailure) as info:
+        step(st.with_coeffs(100.0 * st.coeffs), cfg, t=3e-4, memory=memory)
+    assert len(memory.slopes) == 3
+    assert 1 <= info.value.iterations <= 5
+    assert info.value.t == 3e-4
 
 
 def _euler_started_midpoint(state, dt, tol=1e-12, max_iter=100):
@@ -412,9 +429,12 @@ def test_step_with_finite_extremes_passes(monkeypatch, scheme, value):
 
 
 def test_config_rejects_fractional_step_count():
-    # rejected when the configuration is made, before any run can start
-    with pytest.raises(ValueError, match="integer number of steps"):
-        StepperConfig(dt=0.3, t_end=1.0)
+    # rejected when the configuration is made, before any run can start; the
+    # grid is checked to 1e-9 of t_end (2 steps of 4e-10 end at 8e-10), and
+    # dt > t_end is no whole step
+    for dt, t_end in ((0.3, 1.0), (4e-10, 1e-9), (2.0, 1.0)):
+        with pytest.raises(ValueError, match="integer number of steps"):
+            StepperConfig(dt=dt, t_end=t_end)
 
 
 def test_config_rejects_too_many_steps():

@@ -109,6 +109,24 @@ def test_start_that_cannot_reach_the_target_is_rejected():
         assert abs(momentum(proj) - TWO_PI) / TWO_PI <= 1e-12
 
 
+@pytest.mark.parametrize("n, support", [(8, (1, 3)), (8, (2, 5)), (8, (3, 4, 6)), (16, (2, 9, 15)),
+                                        (130, (5, 40, 77))])
+@pytest.mark.parametrize("sigma", [0, 1])
+def test_projection_reaches_every_target_inside_the_span_of_its_start(n, support, sigma):
+    # b_k = a_k/(1 + alpha + beta/k) is 0 off S, so only the denominators on S
+    # must stay positive; targets at either end of (P*/max S, P*/min S) too
+    coeffs = np.zeros(n, dtype=complex)
+    coeffs[np.array(support) - 1] = np.exp(1j * np.arange(len(support))) / np.arange(1, len(support) + 1)
+    start = SpectralState(sigma, coeffs)
+    low, high = TWO_PI / max(support), TWO_PI / min(support)
+    for share in (1e-3, 0.05, 0.2, 0.4, 0.6, 0.8, 0.95, 0.999):
+        m_star = low + share * (high - low)
+        proj = project_to_constraints(start, ConstraintTarget(mass_target=m_star, momentum_target=TWO_PI))
+        assert abs(mass(proj) - m_star) / m_star <= 1e-12
+        assert abs(momentum(proj) - TWO_PI) / TWO_PI <= 1e-12
+        assert not np.delete(proj.coeffs, np.array(support) - 1).any()
+
+
 def test_multiplier_extraction_single_modes():
     # any (lambda, mu) on the line lambda/k + mu = (4/pi)(k - sigma) fits;
     # the minimal-norm representative is returned exactly

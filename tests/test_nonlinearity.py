@@ -305,3 +305,8 @@ def test_grid_form_has_the_bits_of_the_numpy_fft_body(monkeypatch, n, sigma):
     ip_m = 1j * (np.arange(1.0, n + 1.0) * inv_m)
     assert np.array_equal(kernels.rhs(a), grid_kernel_numpy_fft(a, sigma, ip_m))
     assert _energy_grid_raw(a, sigma) == energy_grid_numpy_fft(a, sigma)
+
+
+def test_nonlinearity_result_checks_its_size():
+    with pytest.raises(ValueError, match="2N-1 = 7 entries, got 4"):
+        nonlinearity.NonlinearityResult(0, 4, np.zeros(4))

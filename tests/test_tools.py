@@ -1,7 +1,12 @@
+import json
+import re
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_bench_pairs_layer_timings_report_both_paths(monkeypatch):
@@ -60,3 +65,30 @@ def test_bench_pairs_rejects_fewer_than_two_pairs(monkeypatch, tmp_path, capsys,
     assert exc.value.code == 2
     assert "at least 2 pairs" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def test_same_bytes_names_each_difference_and_nothing_else(monkeypatch, tmp_path, capsys):
+    # two fast commands, one writing an output file, against this checkout and
+    # against a copy of its src whose version (in every header) is edited
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import same_bytes
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write_inputs prepends src
+    commands = ("wave-residual --init psi_k:1 --n-modes 2", "invariants --n-modes 4 --hs 1 --out inv.jsonl")
+    monkeypatch.setattr(same_bytes, "COMMANDS", commands)
+    assert same_bytes.main(["--parent", str(ROOT)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["commands"], out["identical"], out["differences"]) == (2, 2, [])
+
+    copy = tmp_path / "edited"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    init = copy / "src" / "filament" / "__init__.py"
+    init.write_text(re.sub(r'__version__ = "[^"]*"', '__version__ = "edited"', init.read_text()))
+    assert same_bytes.main(["--parent", str(copy)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [d["command"] for d in out["differences"]] == [f"filament {c}" for c in commands]
+    first, second = out["differences"]
+    assert (first["in"], first["line"], "exit" in first) == ("stdout", 1, False)
+    assert '"version": "edited"' in first["parent"] and '"version": "edited"' not in first["change"]
+    assert second["in"] == "file inv.jsonl"
+    assert not list(copy.rglob("__pycache__"))  # the runs write no bytecode

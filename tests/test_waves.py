@@ -132,11 +132,12 @@ def test_orbit_distance_transverse():
 
 def test_probe_zero_perturbation(monkeypatch):
     # at eps = 0 the start is base + 0 * noise: psi_k bit for bit, signed zeros included
-    starts = []
+    starts, trajectories = [], []
 
     def recording_simulate(state, config):
         starts.append(state)
-        return simulate(state, config)
+        trajectories.append(simulate(state, config))
+        return trajectories[-1]
 
     monkeypatch.setattr(waves, "simulate", recording_simulate)
     cfg = StepperConfig(scheme="rk4", dt=1e-2, t_end=1.0, sample_every=20)
@@ -146,7 +147,33 @@ def test_probe_zero_perturbation(monkeypatch):
             base = make_psi_k(k, sigma, 8)
             assert starts[-1].sigma == sigma
             assert starts[-1].coeffs.tobytes() == base.coeffs.tobytes()
-            assert np.max(probe.distances) <= 1e-12
+            # the run stays on mode k, where RK4 lets |a_k| drift off 1 (by 1.4e-9
+            # for psi_2 at sigma = 0), so the distance is sqrt(2 pi) ||a_k| - 1|
+            drift = [abs(abs(s.coeffs[k - 1]) - 1.0) for s in trajectories[-1].states]
+            np.testing.assert_allclose(probe.distances, np.sqrt(TWO_PI) * np.array(drift),
+                                       rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [1e-9, 3.5e-9, 1e-8, 3e-8, 1e-7, 1e-6])
+def test_orbit_distance_resolves_small_distances(d):
+    # d^2 split between |a_2| - 1 (either sign) and mode 3: the closed form is not a
+    # difference of two numbers near 4 pi, so it keeps its digits below 4e-8
+    ref = make_psi_k(2, 0, 8)
+    for radial, off in ((d, 0.0), (-d, 0.0), (0.6 * d, 0.8 * d), (-0.6 * d, 0.8 * d), (0.0, d)):
+        coeffs = np.zeros(8, dtype=complex)
+        coeffs[1] = (1.0 + radial / np.sqrt(TWO_PI)) * np.exp(0.37j)
+        coeffs[2] = off / np.sqrt(TWO_PI) * np.exp(0.74j)
+        assert orbit_distance(SpectralState(0, coeffs), ref) == pytest.approx(d, rel=1e-6)
+
+
+def test_orbit_distance_rejects_other_references():
+    state = make_psi_k(2, 0, 8)
+    with pytest.raises(ValueError, match="single-mode reference"):
+        orbit_distance(state, SpectralState(0, [1.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="single-mode reference"):
+        orbit_distance(state, make_psi_k(2, 0, 16))
+    with pytest.raises(ValueError, match="single-mode reference"):
+        orbit_distance(state, SpectralState(0, np.zeros(8)))
 
 
 @pytest.mark.parametrize("sigma", [0, 1])
