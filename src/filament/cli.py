@@ -63,8 +63,9 @@ from .waves import (
     stationary_scan,
 )
 from .minimizer import (
+    _GRAD_RTOL,
     _check_targets,
-    _check_start,
+    _reach,
     ConstraintTarget,
     MinimizeOptions,
     ProjectionError,
@@ -417,19 +418,16 @@ def cmd_verify(args, writer) -> int:
 
 def cmd_minimize(args, writer) -> int:
     target = ConstraintTarget(mass_target=args.mass_target, momentum_target=args.momentum_target)
-    opts = MinimizeOptions(
-        grad_tol=args.tol, max_iter=args.max_iter,
-        seed=args.seed, n_starts=args.n_starts,
-    )
+    opts = MinimizeOptions(max_iter=args.max_iter, seed=args.seed, n_starts=args.n_starts)
     init = None if args.init is None else _parse_init(args.init, args.sigma, args.n_modes, args.seed)
     n_modes = args.n_modes if init is None else init.n_modes  # a snapshot brings its own N
     _check_targets(args.sigma, n_modes, target)
     if init is not None:
-        _check_start(init.coeffs, target)
+        _reach(init.coeffs, target)
     writer.header({
         "sigma": args.sigma, "n_modes": n_modes, "init": args.init,
         "mass_target": args.mass_target, "momentum_target": args.momentum_target,
-        "grad_tol": opts.grad_tol, "max_iter": opts.max_iter, "seed": opts.seed,
+        "grad_tol": _GRAD_RTOL, "max_iter": opts.max_iter, "seed": opts.seed,
         "n_starts": opts.n_starts,
     })
     result = minimize_energy(args.sigma, n_modes, target, init=init, opts=opts)
@@ -581,7 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum-target", type=_finite_float, required=True)
     p.add_argument("--init", type=str, default=None,
                    help="optional starting state (same forms as simulate)")
-    p.add_argument("--tol", type=_finite_float, default=1e-8, help="projected-gradient tolerance")
     p.add_argument("--max-iter", type=_positive_int, default=2000)
     p.add_argument("--n-starts", type=_positive_int, default=3)
     p.set_defaults(func=cmd_minimize)

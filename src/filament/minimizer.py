@@ -15,19 +15,23 @@ length comes from an Armijo backtracking line search set by the module
 constants ``_STEP0`` (first step), ``_MAX_STEP`` (largest step),
 ``_ARMIJO`` (sufficient decrease), ``_BACKTRACK`` (shrink factor, at most
 ``_MAX_BACKTRACKS`` times) and ``_GROW`` (growth after an accepted step).
-The gradient is cubic in a, so a useful step scales like 1/P: ``_STEP0``
-and ``_MAX_STEP`` hold at P = 2 pi and are scaled by 2 pi/P*.  A
-first-order point satisfies the stationarity condition
+The gradient is cubic in a, so a useful step scales like 1/P and the
+gradient's size like P^1.5: ``_STEP0``, ``_MAX_STEP`` and the stationarity
+tolerance ``_GRAD_RTOL`` hold at P = 2 pi, and the descent scales the steps
+by 2 pi/P* and the tolerance by (P*/2 pi)^1.5, so that a run at any P* is
+the run at P = 2 pi rescaled.  A first-order point satisfies the
+stationarity condition
 
     (4/pi) C_p = lambda a_p / p + mu a_p,
 
 whose real multiplier pair (lambda, mu) is extracted by least squares;
 the relative misfit of that fit is the reported stationarity residual.
 
-Feasibility on the truncation requires P*/N <= M* <= P* (the mass/momentum
-ratio of a mode-k wave is 1/k).  At the two boundary ratios, and from an a
-on one mode, the reachable set is a single-mode circle 2 pi |a_k|^2 = P*, and
-the projection is its nearest point, ``spectral._mode_circle_point``.
+``_reach`` decides what the projection reaches from a start.  Feasibility
+on the truncation requires P*/N <= M* <= P* (the mass/momentum ratio of a
+mode-k wave is 1/k).  At the two boundary ratios, and from an a on one
+mode, the reachable set is a single-mode circle 2 pi |a_k|^2 = P*, and the
+projection is its nearest point, ``spectral._mode_circle_point``.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ __all__ = [
 _TWO_PI = 2.0 * np.pi
 _BOUNDARY_RTOL = 1e-12
 
-_STEP0 = 0.05  # at P = 2 pi, like _MAX_STEP; _descend scales both by 2 pi/P
+_STEP0 = 0.05  # at P = 2 pi, like _MAX_STEP and _GRAD_RTOL; _descend scales them to P*
 _MAX_STEP = 1e3
+_GRAD_RTOL = 1e-8  # stationarity: the gradient's P-norm, which scales like P^1.5
 _ARMIJO = 1e-4
 _BACKTRACK = 0.5
 _GROW = 1.3
@@ -77,28 +82,15 @@ class ConstraintTarget:
     momentum_target: float
 
     def __post_init__(self):
-        if not self.mass_target > 0.0:
-            raise ValueError("mass_target must be positive")
-        if not self.momentum_target > 0.0:
-            raise ValueError("momentum_target must be positive")
-
-    def validate_for(self, n_modes: int) -> None:
-        """Reject targets outside the reachable band P*/N <= M* <= P*."""
-        m_star, p_star = self.mass_target, self.momentum_target
-        if m_star > p_star * (1.0 + _BOUNDARY_RTOL):
-            raise ValueError(
-                f"infeasible target: mass {m_star} exceeds momentum {p_star}"
-            )
-        if m_star < p_star / n_modes * (1.0 - _BOUNDARY_RTOL):
-            raise ValueError(
-                f"infeasible target: mass {m_star} below momentum/n_modes = "
-                f"{p_star / n_modes} (truncation at {n_modes} modes)"
-            )
+        for name in ("mass_target", "momentum_target"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
-    """ValueError for targets outside the reachable band, or whose scales
-    overflow a float in the descent.
+    """ValueError for targets out of reach of modes 1..N, whose scales overflow
+    a float in the descent, or whose stationarity tolerance is below the
+    smallest normal float.
 
     The momentum is P*, so |a| is at most sqrt(P*), and the stationarity
     misfit cubes it.  The descent also squares the gradient 8C in the
@@ -106,8 +98,10 @@ def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
     for E_1 at most 2 (P* - M*), since P - M = 2 pi sum |a_k|^2 (1 - 1/k)
     and E_1 does not see mode 1.  On the seen momentum S its size is at most
     about N S^(3/2), reached with all weight on mode N, where C = N |a|^2 a.
+    The descent stops at a gradient of _GRAD_RTOL (P*/2 pi)^1.5, which it
+    squares in the same norm.
     """
-    target.validate_for(n_modes)
+    _reach(np.ones(n_modes), target)
     m_star, p_star = target.mass_target, target.momentum_target
     seen = min(p_star, 2.0 * abs(p_star - m_star)) if sigma == 1 else p_star
     grad = 8.0 * n_modes * seen * math.sqrt(seen)  # products, not **, so overflow gives inf
@@ -117,53 +111,55 @@ def _check_targets(sigma: int, n_modes: int, target: ConstraintTarget) -> None:
             f"modes: the squared gradient 2 pi (8 N S^1.5)^2 with S = {seen:g}, or the cube "
             f"P^1.5, overflows a float"
         )
+    tol = _GRAD_RTOL * (p_star / _TWO_PI) ** 1.5  # finite, since P*^1.5 is
+    if _TWO_PI * tol * tol < np.finfo(float).tiny:
+        raise ValueError(f"mass target {m_star:g} and momentum target {p_star:g} are too small for the "
+                         f"descent: its squared tolerance 2 pi ({_GRAD_RTOL:g} (P*/2 pi)^1.5)^2 underflows")
 
 
-def _check_start(a: np.ndarray, target: ConstraintTarget) -> None:
-    """ValueError for a start from which the projection cannot reach a validated target.
+def _reach(a: np.ndarray, target: ConstraintTarget) -> int:
+    """The mode k whose circle 2 pi |b_k|^2 = P* is all the projection reaches
+    from a, or 0 when its Newton solve on the occupied modes S of a reaches
+    the target; ValueError when nothing on the target is in reach.
 
-    The projection reweights a_k, so it keeps the set S of occupied modes,
-    and M/P is a weighted mean of 1/k over S.  Away from the boundary ratios,
-    which go onto one mode directly, M*/P* must lie strictly between
-    1/max S and 1/min S, or equal 1/k when S = {k}; the zero state is the
-    empty S.  The CLI checks ``minimize --init`` with it before the header.
+    The boundary ratios M* = P* and M* = P*/N put all weight on mode 1 or N
+    from any start.  Elsewhere the projection reweights a_k, so it keeps S,
+    and M/P is a weighted mean of 1/k over S: M*/P* must lie strictly between
+    1/max S and 1/min S, or equal 1/k when S = {k}.  The zero state is the
+    empty S.
     """
-    occupied = np.flatnonzero(a) + 1
+    occupied = np.flatnonzero(a)
     if not occupied.size:
         raise ValueError("cannot project the zero state onto a positive-size constraint set")
     m_star, p_star = target.mass_target, target.momentum_target
-    if min(abs(m_star - p_star), abs(m_star - p_star / a.size)) <= _BOUNDARY_RTOL * p_star:
-        return
-    low, high = p_star / occupied[-1], p_star / occupied[0]  # M on S at P = P*
-    if low == high:
-        if abs(m_star - low) > _BOUNDARY_RTOL * p_star:
-            raise ValueError(f"mass target {m_star} is out of reach from a start on mode {occupied[0]} "
-                             f"alone: the projection keeps the occupied modes, so it needs mass {low}")
-    elif not low * (1.0 + _BOUNDARY_RTOL) < m_star < high * (1.0 - _BOUNDARY_RTOL):
-        raise ValueError(f"mass target {m_star} is out of reach from a start on modes {occupied[0]} to "
-                         f"{occupied[-1]}: the projection keeps the occupied modes, so it needs "
-                         f"{low} < mass < {high}")
+    if abs(m_star - p_star) <= _BOUNDARY_RTOL * p_star:
+        return 1
+    if abs(m_star - p_star / a.size) <= _BOUNDARY_RTOL * p_star:
+        return a.size
+    first, last = int(occupied[0]) + 1, int(occupied[-1]) + 1
+    low, high = p_star / last, p_star / first  # M on S at P = P*
+    if low == high and abs(m_star - low) <= _BOUNDARY_RTOL * p_star:
+        return first
+    if low * (1.0 + _BOUNDARY_RTOL) < m_star < high * (1.0 - _BOUNDARY_RTOL):
+        return 0
+    span, need = ((f"mode {first} alone", f"mass {low}") if low == high else
+                  (f"modes {first} to {last}", f"{low} < mass < {high}"))
+    raise ValueError(f"mass target {m_star} is out of reach from a start on {span} (truncation at "
+                     f"{a.size} modes): the projection keeps the occupied modes, so it needs {need}")
 
 
 def _project_raw(a: np.ndarray, target: ConstraintTarget) -> np.ndarray:
-    """``project_to_constraints`` on raw coefficients, for a validated target."""
-    n = a.size
+    """``project_to_constraints`` on raw coefficients."""
+    mode = _reach(a, target)
     total = float((np.abs(a) ** 2).sum())
     m_star, p_star = target.mass_target, target.momentum_target
     # the projection is scale-equivariant: start from a at P = P*, so that the
     # Newton iterate 1 + alpha stays O(1) instead of cancelling at large scale
     a = a * np.sqrt(p_star / (_TWO_PI * total))
+    if mode:
+        return _mode_circle_point(a, mode, np.sqrt(p_star / _TWO_PI))
 
-    # boundary ratios force all weight onto a single mode, as does a start on one mode
-    radius = np.sqrt(p_star / _TWO_PI)
-    if abs(m_star - p_star) <= _BOUNDARY_RTOL * p_star:
-        return _mode_circle_point(a, 1, radius)
-    if abs(m_star - p_star / n) <= _BOUNDARY_RTOL * p_star:
-        return _mode_circle_point(a, n, radius)
     occupied = np.flatnonzero(a)  # b_k is 0 off the occupied modes whatever alpha and beta
-    if occupied.size == 1:
-        return _mode_circle_point(a, occupied[0] + 1, radius)
-
     k = occupied + 1.0
     power = np.abs(a[occupied]) ** 2
     p_goal = p_star / _TWO_PI
@@ -215,8 +211,6 @@ def project_to_constraints(state: SpectralState, target: ConstraintTarget) -> Sp
     Uses the rational reweighting b_k = a_k / (1 + alpha + beta/k) that
     solves the metric-projection stationarity conditions.
     """
-    target.validate_for(state.n_modes)
-    _check_start(state.coeffs, target)
     return state.with_coeffs(_project_raw(np.array(state.coeffs), target))
 
 
@@ -262,14 +256,11 @@ def multiplier_extraction(state: SpectralState):
 
 @dataclass(frozen=True)
 class MinimizeOptions:
-    grad_tol: float = 1e-8
     max_iter: int = 2000
     seed: int = 0
     n_starts: int = 3
 
     def __post_init__(self):
-        if not (math.isfinite(self.grad_tol) and self.grad_tol >= 0.0):
-            raise ValueError("grad_tol must be finite and non-negative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be a positive integer")
         if self.n_starts < 1:
@@ -328,15 +319,16 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
     a = _project_raw(a0, target)
     energy, cubic = _energy_and_gradient(a, sigma)
     history = [energy]
-    p_star = target.momentum_target
-    step0, max_step = _STEP0 * (_TWO_PI / p_star), _MAX_STEP * (_TWO_PI / p_star)
+    unit = _TWO_PI / target.momentum_target  # 1.0 at P* = 2 pi, where the constants hold
+    step0, max_step = _STEP0 * unit, _MAX_STEP * unit
+    grad_scale = unit ** -1.5  # the gradient is cubic in a
     step = step0
     stall = 0
     for iterations in range(1, opts.max_iter + 1):
         grad = 8.0 * cubic
         _, _, misfit, _ = _fit_multipliers(a, cubic)
         grad_norm = p_norm(_TWO_PI * misfit)  # |8C - 2pi(lam a/k + mu a)|_P
-        if grad_norm <= opts.grad_tol:
+        if grad_norm <= _GRAD_RTOL * grad_scale:
             break
         slope = float(np.sum(np.abs(misfit) ** 2))
         for _ in range(_MAX_BACKTRACKS):
@@ -370,7 +362,8 @@ def _descend(a0: np.ndarray, sigma: int, target: ConstraintTarget, opts: Minimiz
         energy=energy_spectral(state),
         iterations=iterations,
         grad_norm=grad_norm,
-        converged=bool(grad_norm <= max(opts.grad_tol, 1e3 * np.finfo(float).eps * (1.0 + abs(energy)))),
+        converged=bool(grad_norm <= grad_scale * max(
+            _GRAD_RTOL, 1e3 * np.finfo(float).eps * (1.0 + abs(energy) * unit * unit))),
         seed=seed,
         energy_history=tuple(history),
     )
@@ -394,7 +387,6 @@ def minimize_energy(
     if init is not None:
         if init.n_modes != n_modes:
             raise ValueError(f"init has {init.n_modes} modes, expected {n_modes}")
-        _check_start(init.coeffs, target)
         return _descend(np.array(init.coeffs), sigma, target, opts, seed=None)
     best = None
     for i in range(opts.n_starts):

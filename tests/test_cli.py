@@ -321,6 +321,18 @@ def test_minimize_target_overflow_rejected_before_header(tmp_path, capsys):
     assert "mass target 1e+300" in err["message"] and "momentum target 2e+300" in err["message"]
 
 
+@pytest.mark.parametrize("mass, momentum", [("1e-300", "2e-300"), ("5e-321", "1e-320")])
+def test_minimize_target_too_small_rejected_before_header(tmp_path, capsys, mass, momentum):
+    # the stationarity tolerance scales like P*^1.5: 1e-300 reported a converged
+    # zero state, and 5e-321 wrote its header and stalled in the projection (exit 2)
+    out = tmp_path / "min.jsonl"
+    assert main(["minimize", "--n-modes", "4", "--n-starts", "1", "--mass-target", mass,
+                 "--momentum-target", momentum, "--out", str(out)]) == 1
+    assert not out.exists()
+    err = _stderr_error(capsys)
+    assert err["error_type"] == "validation" and "too small" in err["message"]
+
+
 def test_minimize_projection_stall_target_runs(tmp_path):
     # the projection line search used to stall at a 5.2e-13 residual here (exit 2)
     out = tmp_path / "min.jsonl"
@@ -688,7 +700,7 @@ def _stderr_error(capsys):
     (["simulate", "--hs", "1", "inf"], "--hs"),
     (["minimize", "--mass-target", "inf", "--momentum-target", "1"], "--mass-target"),
     (["minimize", "--mass-target", "1", "--momentum-target", "inf"], "--momentum-target"),
-    (["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol=-inf"], "--tol"),
+    (["minimize", "--mass-target", "nan", "--momentum-target", "1"], "--mass-target"),
     (["wave-residual", "--init", "psi_k:1", "--speed", "inf"], "--speed"),
     (["wave-residual", "--init", "psi_k:1", "--omega", "nan"], "--omega"),
     (["invariants", "--hs", "inf"], "--hs"),
@@ -706,6 +718,7 @@ def test_non_finite_float_flags_rejected_at_parse_time(tmp_path, capsys, argv, f
     ["simulate", "--dt", "abc"],
     ["simulate", "--bogus"],
     ["bench"],  # deleted: verify runs its checks, perfbench its timings
+    ["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol", "1e-9"],  # deleted: a constant on P*'s scale
 ])
 def test_parse_errors_are_json(capsys, argv):
     assert main(argv) == 1
@@ -732,15 +745,6 @@ def test_non_positive_counts_rejected_before_header(tmp_path, capsys, argv, flag
     assert not out.exists()
     err = _stderr_error(capsys)
     assert err["error_type"] == "validation" and flag in err["message"]
-
-
-def test_negative_minimize_tolerance_rejected_before_header(tmp_path, capsys):
-    out = tmp_path / "run.jsonl"
-    argv = ["minimize", "--mass-target", "1", "--momentum-target", "2", "--tol=-1"]
-    assert main(argv + ["--out", str(out)]) == 1
-    assert not out.exists()  # no header: the options are checked first
-    err = _stderr_error(capsys)
-    assert err["error_type"] == "validation" and "grad_tol" in err["message"]
 
 
 @pytest.mark.parametrize("argv", [["simulate", "--hs", "1", "-2"], ["invariants", "--hs", "-2"]])

@@ -5,6 +5,7 @@ from filament.spectral import SpectralState, seeded_state
 from filament.invariants import momentum, mass
 from filament.waves import make_psi_k
 from filament.minimizer import (
+    _check_targets,
     ConstraintTarget,
     MinimizeOptions,
     project_to_constraints,
@@ -22,12 +23,16 @@ def test_target_validation():
         ConstraintTarget(mass_target=1.0, momentum_target=0.0)
     with pytest.raises(TypeError):  # both targets are required
         ConstraintTarget(mass_target=1.0)
+    # an infinite target used to reach the projection, which warned and stalled on nan
+    for m_star, p_star in ((np.inf, 1.0), (1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ConstraintTarget(mass_target=m_star, momentum_target=p_star)
     # infeasible band: M* > P* and M* < P*/N
     with pytest.raises(ValueError):
-        ConstraintTarget(mass_target=2.0, momentum_target=1.0).validate_for(8)
+        _check_targets(0, 8, ConstraintTarget(mass_target=2.0, momentum_target=1.0))
     with pytest.raises(ValueError):
-        ConstraintTarget(mass_target=0.1, momentum_target=1.0).validate_for(8)
-    ConstraintTarget(mass_target=0.5, momentum_target=1.0).validate_for(8)
+        _check_targets(0, 8, ConstraintTarget(mass_target=0.1, momentum_target=1.0))
+    _check_targets(0, 8, ConstraintTarget(mass_target=0.5, momentum_target=1.0))
 
 
 def test_projection_identity_on_manifold():
@@ -233,11 +238,26 @@ def test_minimize_descends_at_a_large_target():
     assert max(result.constraint_violation) <= 1e-10
 
 
+def test_minimizer_is_scale_covariant():
+    # E scales like P^2, the steps like 1/P and the gradient like P^1.5, so a
+    # run at P* = 2 pi s is the run at 2 pi rescaled.  With an absolute
+    # stationarity tolerance, s = 1e-40 and 1e-6 stopped at once above the
+    # minimum, and s = 1e20 reported convergence where s = 1 does not.
+    def run(s):
+        target = ConstraintTarget(mass_target=4.0 * s, momentum_target=TWO_PI * s)
+        return minimize_energy(0, 8, target, opts=MinimizeOptions(seed=0, n_starts=1))
+
+    unit = run(1.0)
+    for s in (1e-40, 1e-6, 1e8, 1e20):
+        result = run(s)
+        assert result.energy / s**2 == pytest.approx(unit.energy, rel=1e-12, abs=0)
+        assert result.converged == unit.converged
+        assert max(result.constraint_violation) <= 1e-12
+
+
 @pytest.mark.parametrize("kwargs", [
-    # max_iter=0 returned grad_norm = inf, n_starts <= 0 ran one start, and a
-    # NaN tolerance never converged
+    # max_iter=0 returned grad_norm = inf, and n_starts <= 0 ran one start
     {"max_iter": 0}, {"n_starts": 0}, {"n_starts": -3},
-    {"grad_tol": float("nan")}, {"grad_tol": float("inf")}, {"grad_tol": -1.0},
 ])
 def test_minimize_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):

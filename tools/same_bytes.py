@@ -49,7 +49,8 @@ COMMANDS = (
     "wave-residual --sigma 1 --init two_mode:1:1:2 --speed 0.5 --omega 2",
     "verify",
     # minimize: criterion 10's shape, psi_k and two_mode starts, both boundary ratios,
-    # a cut descent, two starts that cannot reach their target, and two that can
+    # a cut descent, two starts that cannot reach their target, two that can, runs
+    # at P* = 2 pi 1e-6 and 2 pi 1e8, and targets out of reach or too small
     f"minimize --n-modes 16 --mass-target {PI} --momentum-target {TWO_PI} --n-starts 2",
     f"minimize --n-modes 16 --init psi_k:2 --mass-target {PI} --momentum-target {TWO_PI}",
     f"minimize --sigma 1 --n-modes 8 --init two_mode:1:1:3 --mass-target 3.14159 --momentum-target {TWO_PI}",
@@ -60,6 +61,10 @@ COMMANDS = (
     f"minimize --sigma 1 --n-modes 8 --init two_mode:1:1:3 --mass-target 1.9 --momentum-target {TWO_PI}",
     f"minimize --n-modes 8 --init psi_k:2 --mass-target 3.141592653594793 --momentum-target {TWO_PI}",
     f"minimize --sigma 1 --n-modes 8 --init two_mode:1:1:3 --mass-target 2.2 --momentum-target {TWO_PI}",
+    "minimize --n-modes 8 --n-starts 1 --mass-target 4e-06 --momentum-target 6.283185307179586e-06",
+    "minimize --n-modes 8 --n-starts 1 --mass-target 4e8 --momentum-target 628318530.7179586",
+    "minimize --n-modes 4 --mass-target 3 --momentum-target 2",
+    "minimize --n-modes 4 --n-starts 1 --mass-target 1e-300 --momentum-target 2e-300",
     # error paths and step grids
     "simulate --n-modes 4 --init file:{huge} --t-end 0.01",
     "invariants --n-modes 64 --hs 400",
